@@ -14,12 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Classification thresholds.  DET_TOL flags a matrix as degenerate
-# (information-destroying); TRIANGLE_TOL absorbs float noise in the closure
-# condition; BISTOCHASTIC_TOL validates row/column sums of inputs.
-DET_TOL = 1e-10
+from .hilbert import DET_TOL, _unitarity_deviation
+
+# Classification thresholds.  DET_TOL (shared with reconstruct) flags a
+# matrix as degenerate (information-destroying); TRIANGLE_TOL absorbs float
+# noise in the closure condition; BISTOCHASTIC_TOL validates row/column sums
+# of inputs.
 BISTOCHASTIC_TOL = 1e-12
 TRIANGLE_TOL = 1e-12
+
+# Phase search budget: projection stops once an iterate is unitary to
+# _SEARCH_TOL or its deviation has not improved for _SEARCH_PLATEAU steps;
+# a target counts as realized at _SEARCH_ACCEPT.
+_SEARCH_TOL = 1e-11
+_SEARCH_ACCEPT = 1e-9
+_SEARCH_PLATEAU = 60
 
 __all__ = [
     "BISTOCHASTIC_TOL",
@@ -197,11 +206,8 @@ def _realize_three(mu, links, tol=TRIANGLE_TOL):
         b1 = float(np.arccos(np.clip(cos_b1, -1.0, 1.0)))
         rem = -l0 - l1 * np.exp(1j * b1)
         b2 = float(np.angle(rem)) if abs(rem) > tiny else 0.0
-    elif l0 <= tiny:
-        # First link absent: remaining two must cancel head-on.
-        b1, b2 = 0.0, np.pi
     else:
-        # Second link absent: third must cancel the first.
+        # First or second link absent: the remaining two cancel head-on.
         b1, b2 = 0.0, np.pi
     roots = np.sqrt(mu)
     u = roots.astype(complex)
@@ -220,20 +226,19 @@ def _realize_three(mu, links, tol=TRIANGLE_TOL):
 
 
 def _verify_realization(u, mu, tol=1e-9):
-    gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    gram_dev = float(_unitarity_deviation(u))
     mod_dev = float(np.max(np.abs(np.abs(u) ** 2 - mu)))
     return gram_dev <= tol and mod_dev <= tol
 
 
-def _project_iterate(g, r, max_iter, tol, plateau):
+def _project_iterate(g, r, max_iter):
     """Alternate polar projection with modulus restoration, per batch entry.
 
-    Entries leave the working set once unitary to ``tol`` or once the best
-    deviation has not improved (relatively) for ``plateau`` steps; infeasible
-    targets hit a positive floor and stall out quickly.
+    Entries leave the working set once unitary to _SEARCH_TOL or once the
+    best deviation has not improved (relatively) for _SEARCH_PLATEAU steps;
+    infeasible targets hit a positive floor and stall out quickly.
     """
-    batch, n, _ = g.shape
-    eye = np.eye(n)
+    batch = g.shape[0]
     best = np.full(batch, np.inf)
     stall = np.zeros(batch, dtype=int)
     final_dev = np.full(batch, np.inf)
@@ -245,21 +250,14 @@ def _project_iterate(g, r, max_iter, tol, plateau):
         u, _, vh = np.linalg.svd(ga)
         ga = r[alive] * np.exp(1j * np.angle(u @ vh))
         g[alive] = ga
-        dev = np.max(
-            np.abs(np.conj(np.swapaxes(ga, -1, -2)) @ ga - eye), axis=(1, 2)
-        )
+        dev = _unitarity_deviation(ga)
         final_dev[alive] = dev
         improved = dev < best[alive] * (1.0 - 1e-9)
         best[alive] = np.minimum(best[alive], dev)
         stall[alive] = np.where(improved, 0, stall[alive] + 1)
-        done = (dev <= tol) | (stall[alive] > plateau)
+        done = (dev <= _SEARCH_TOL) | (stall[alive] > _SEARCH_PLATEAU)
         alive = alive[~done]
     return g, final_dev
-
-
-def _unitarity_dev(u):
-    n = u.shape[-1]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
 
 
 def _phase_polish(u, steps=40, target=1e-12):
@@ -274,7 +272,7 @@ def _phase_polish(u, steps=40, target=1e-12):
     r = np.abs(u)
     phi = np.angle(u)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    best_phi, best_dev = phi, _unitarity_dev(u)
+    best_phi, best_dev = phi, float(_unitarity_deviation(u))
     for _ in range(steps):
         terms = {}
         f = np.empty(len(pairs), dtype=complex)
@@ -293,7 +291,7 @@ def _phase_polish(u, steps=40, target=1e-12):
         step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         phi = phi + step.reshape(n, n)
         candidate = r * np.exp(1j * phi)
-        dev = _unitarity_dev(candidate)
+        dev = float(_unitarity_deviation(candidate))
         if dev < best_dev:
             best_dev, best_phi = dev, phi
         if dev <= target:
@@ -301,31 +299,21 @@ def _phase_polish(u, steps=40, target=1e-12):
     return r * np.exp(1j * best_phi), best_dev
 
 
-def unitary_phase_search(
-    targets,
-    rng=None,
-    max_iter=800,
-    tol=1e-11,
-    accept=1e-9,
-    restarts=4,
-    plateau=60,
-    sign_patterns=True,
-):
+def unitary_phase_search(targets, rng=None, max_iter=800, restarts=4):
     """Find unitaries with prescribed squared moduli by alternating projection.
 
     ``targets`` may be a single (n, n) matrix or a batch (..., n, n).  Each
     iterate is projected to the nearest unitary (polar factor) and then back
     to the fixed-modulus set; an iterate that stalls inside the basin is
     finished by a Gauss-Newton polish of its phases.  Success means the
-    fixed-modulus iterate is unitary to ``accept``.  Unresolved targets are
+    fixed-modulus iterate is unitary to 1e-9.  Unresolved targets are
     retried: first from zero phases, then from ``restarts`` random phase
-    fields, finally (when ``sign_patterns`` is set, and only for targets
-    that have already come within 1e-2 of unitarity) from the +-1 sign
-    assignments of up to four free entries.  The sign starts rescue targets
-    near the boundary of feasibility, where the solution phases sit close to
-    0 or pi and random starts converge too slowly; gating them on basin
-    entry keeps clearly infeasible targets from burning through the whole
-    ladder.  Deterministic for a given ``rng`` seed.
+    fields, finally (only for targets that have already come within 1e-2 of
+    unitarity) from the +-1 sign assignments of up to four free entries.
+    The sign starts rescue targets near the boundary of feasibility, where
+    the solution phases sit close to 0 or pi and random starts converge too
+    slowly; gating them on basin entry keeps clearly infeasible targets from
+    burning through the whole ladder.  Deterministic for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.
@@ -343,11 +331,10 @@ def unitary_phase_search(
         yield "zero", None
         for _ in range(restarts):
             yield "random", None
-        if sign_patterns:
-            cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
-            for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
-                if any(bits):  # the all-zero pattern is the first attempt
-                    yield "pattern", (cells, bits)
+        cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
+        for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
+            if any(bits):  # the all-zero pattern is the first attempt
+                yield "pattern", (cells, bits)
 
     best_dev = np.full(batch, np.inf)
     for kind, data in seeds():
@@ -369,14 +356,14 @@ def unitary_phase_search(
             for (i, j), b in zip(cells, bits):
                 phases[:, i, j] = b
             g = r * np.exp(1j * phases)
-        g, final_dev = _project_iterate(g, r, max_iter, tol, plateau)
+        g, final_dev = _project_iterate(g, r, max_iter)
         best_dev[todo] = np.minimum(best_dev[todo], final_dev)
-        good = final_dev <= accept
+        good = final_dev <= _SEARCH_ACCEPT
         # projection alone crawls near the feasibility boundary; polish
         # whatever landed in the basin but short of acceptance
         for b in np.flatnonzero(~good & (final_dev <= 1e-2)):
             polished, dev = _phase_polish(g[b])
-            if dev <= accept:
+            if dev <= _SEARCH_ACCEPT:
                 g[b] = polished
                 good[b] = True
         ok[todo[good]] = True
@@ -566,6 +553,5 @@ def hypocycloid_boundary(resolution, corners=(0, 3, 4)):
         raise ValueError("the boundary locus is sampled on a three-corner plane")
     coeffs = simplex_grid(3, resolution)
     mats = np.einsum("pm,mij->pij", coeffs, stack)
-    links = chain_links(mats)
-    defect = np.abs(_closure_slack(links))
+    defect = equality_defect(chain_links(mats))
     return coeffs[defect <= 2.0 / resolution]

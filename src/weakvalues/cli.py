@@ -34,7 +34,6 @@ EXIT_INPUT = 4
 # Emitted tables are re-checked against the module invariants before
 # serialization; violations abort instead of publishing bad numbers.
 EXPANSION_TOL = 1e-10
-SUM_TOL = 1e-12
 
 OPERATOR_PRESETS = (
     "sigma_x",
@@ -279,7 +278,7 @@ def _check_sums(mu):
         float(np.max(np.abs(mu.sum(axis=0) - 1.0))),
         float(np.max(np.abs(mu.sum(axis=1) - 1.0))),
     )
-    if worst > SUM_TOL:
+    if worst > birkhoff.BISTOCHASTIC_TOL:
         raise RuntimeError(f"internal check failed: weight sums off by {worst:.3e}")
 
 

@@ -18,6 +18,9 @@ import numpy as np
 NORM_TOL = 1e-10
 # Overlaps smaller than this make a weak value numerically meaningless.
 OVERLAP_TOL = 1e-8
+# |det mu| at or below this marks a weight matrix as singular: the
+# measurement (or the polytope point) destroys the input's history.
+DET_TOL = 1e-10
 
 __all__ = [
     "NORM_TOL",
@@ -71,6 +74,8 @@ def check_distribution(p, tol=NORM_TOL):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("probabilities must form a 1-D vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if p.size == 0 or np.min(p) < -tol:
         raise ValueError("probabilities must be nonnegative")
     total = float(np.sum(p))
@@ -79,9 +84,14 @@ def check_distribution(p, tol=NORM_TOL):
     return p
 
 
+def _unitarity_deviation(u):
+    """max |U^dagger U - 1| over the last two axes; batched over any leading ones."""
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1))
+
+
 def _check_orthonormal(mat, name):
-    gram = mat.conj().T @ mat
-    dev = float(np.max(np.abs(gram - np.eye(mat.shape[1]))))
+    dev = float(_unitarity_deviation(mat))
     if dev > NORM_TOL:
         raise ValueError(f"{name} basis is not orthonormal (max deviation {dev:.3e})")
 

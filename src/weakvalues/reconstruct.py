@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisPair, check_distribution
+from .hilbert import DET_TOL, BasisPair, check_distribution
 from .weakval import overlap_matrix
 
-# |det mu| at or below this is treated as an exactly singular measurement.
-DET_TOL = 1e-10
 # Components of a recovered mixture may stray this far outside [0, 1] before
 # the solution is flagged unphysical.
 PHYSICAL_TOL = 1e-9
@@ -58,9 +56,10 @@ class ReconstructionSolution:
     ``rho_phi_offdiag[m, k]`` (m != k) are the off-diagonal elements of the
     state written in the post basis; its diagonal is left zero (the diagonal
     there is the observed tau itself).  ``condition`` is the reciprocal
-    condition number of mu, ``residual`` the least-squares residual of the
-    defining linear system, and ``physical`` is False when any recovered
-    weight strays outside [0, 1] beyond tolerance.
+    condition number of mu, ``residual`` the norm ||mu @ rho_psi - tau|| of
+    the recovered weights against the observed statistics, and ``physical``
+    is False when any recovered weight strays outside [0, 1] beyond
+    tolerance.
     """
 
     rho_psi: np.ndarray
@@ -86,76 +85,47 @@ def expressed_in_post(rho_psi, pair):
     return g @ np.diag(rho_psi) @ g.conj().T
 
 
-def _mu_or_singular(pair):
-    mu = overlap_matrix(pair)
-    det = abs(float(np.linalg.det(mu)))
-    if det <= DET_TOL:
-        raise SingularMeasurement(det)
-    return mu, det
-
-
 def is_irreversible(pair):
     """(flag, |det mu|): True when the measurement destroys the state's history."""
-    mu = overlap_matrix(pair)
-    det = abs(float(np.linalg.det(mu)))
+    det = abs(float(np.linalg.det(overlap_matrix(pair))))
     return det <= DET_TOL, det
+
+
+def _solve_weights(pair, tau):
+    """Validate tau against the pair and solve mu @ rho_psi = tau.
+
+    Returns ``(mu, tau, rho_psi)``; raises SingularMeasurement when mu is
+    not invertible.
+    """
+    tau = check_distribution(tau, tol=1e-12)
+    singular, det = is_irreversible(pair)
+    if singular:
+        raise SingularMeasurement(det)
+    mu = overlap_matrix(pair)
+    if tau.shape[0] != mu.shape[0]:
+        raise ValueError("tau does not match the basis dimension")
+    return mu, tau, np.linalg.solve(mu, tau)
 
 
 def reconstruct_diagonal(pair, tau):
     """Fast path: recover only the mixture weights, rho_psi = mu^-1 tau."""
-    tau = check_distribution(tau, tol=1e-12)
-    mu, _ = _mu_or_singular(pair)
-    if tau.shape[0] != mu.shape[0]:
-        raise ValueError("tau does not match the basis dimension")
-    return np.linalg.solve(mu, tau)
+    return _solve_weights(pair, tau)[2]
 
 
 def reconstruct_full(pair, tau):
-    """Recover the mixture weights and post-basis off-diagonals jointly.
+    """Recover the mixture weights and the post-basis off-diagonals.
 
-    Solves the full n^2 x n^2 linear system that ties the unknowns together:
-    one equation per (post outcome m, pre vector j),
-
-        G[m, j] X[j, j] - sum_{l != m} G[l, j] X[m, l] = G[m, j] tau[m],
-
-    where G holds the raw overlaps, the diagonal unknowns X[j, j] are
-    rho_psi, and the off-diagonal unknowns X[m, l] are the post-basis matrix
-    elements.  The system is solved least-squares; for an invertible mu it is
-    square and nonsingular and the residual reported in the solution stays at
-    machine level.
+    The outcome statistics satisfy tau = mu @ rho_psi, so an invertible mu
+    gives rho_psi = mu^-1 tau in closed form.  The state written in the post
+    basis is then G diag(rho_psi) G^dagger (see :func:`expressed_in_post`),
+    with G the raw overlaps; its off-diagonal elements are the ones the
+    measurement erases and the statistics still determine.  ``residual`` is
+    ||mu @ rho_psi - tau||, at machine level for an invertible mu.
     """
-    tau = check_distribution(tau, tol=1e-12)
-    mu, _ = _mu_or_singular(pair)
-    n = mu.shape[0]
-    if tau.shape[0] != n:
-        raise ValueError("tau does not match the basis dimension")
-    g = pair.overlaps()
-
-    def unknown(k, l):
-        if k == l:
-            return k
-        return n + k * (n - 1) + (l if l < k else l - 1)
-
-    size = n * n
-    system = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            row = m * n + j
-            system[row, unknown(j, j)] += g[m, j]
-            for l in range(n):
-                if l != m:
-                    system[row, unknown(m, l)] -= g[l, j]
-            rhs[row] = g[m, j] * tau[m]
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    residual = float(np.linalg.norm(system @ solution - rhs))
-
-    rho_psi = solution[:n].real
-    offdiag = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for l in range(n):
-            if l != m:
-                offdiag[m, l] = solution[unknown(m, l)]
+    mu, tau, rho_psi = _solve_weights(pair, tau)
+    offdiag = expressed_in_post(rho_psi, pair)
+    np.fill_diagonal(offdiag, 0.0)
+    residual = float(np.linalg.norm(mu @ rho_psi - tau))
 
     smin, smax = np.linalg.svd(mu, compute_uv=False)[[-1, 0]]
     condition = float(smin / smax) if smax > 0 else 0.0

@@ -81,6 +81,16 @@ def _overlap_or_raise(pair, l, j):
     return g
 
 
+def _admissible_overlaps(pair):
+    """The overlap matrix G, raising OverlapTooSmall at the first vanishing entry."""
+    g = pair.overlaps()
+    small = np.abs(g) <= OVERLAP_TOL
+    if np.any(small):
+        l, j = np.argwhere(small)[0]
+        raise OverlapTooSmall(l, j, abs(g[l, j]))
+    return g
+
+
 def weak_value(a, pair, l, j):
     """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
     a = np.asarray(a, dtype=complex)
@@ -99,11 +109,7 @@ def w_operator(pair, l, j):
 
 def w_operator_set(pair):
     """All transition operators as one array; ``wset[l, j]`` is W[l, j]."""
-    g = pair.overlaps()
-    small = np.abs(g) <= OVERLAP_TOL
-    if np.any(small):
-        l, j = np.argwhere(small)[0]
-        raise OverlapTooSmall(l, j, abs(g[l, j]))
+    g = _admissible_overlaps(pair)
     outer = pair.post.T[:, None, :, None] * pair.pre.conj().T[None, :, None, :]
     return outer / g.conj()[:, :, None, None]
 
@@ -125,11 +131,7 @@ def weak_value_table(a, pair):
     pair is not admissible.
     """
     a = np.asarray(a, dtype=complex)
-    g = pair.overlaps()
-    small = np.abs(g) <= OVERLAP_TOL
-    if np.any(small):
-        l, j = np.argwhere(small)[0]
-        raise OverlapTooSmall(l, j, abs(g[l, j]))
+    g = _admissible_overlaps(pair)
     values = (pair.post.conj().T @ a @ pair.pre) / g
     return WeakValueTable(values=values, operator=a, pair=pair)
 
@@ -161,11 +163,7 @@ def mixed_w_operator(pair, p, q):
     """Transition operator of a statistical mixture: sum_lj q[l] p[j] W[l, j]."""
     p = check_distribution(p)
     q = check_distribution(q)
-    g = pair.overlaps()
-    small = np.abs(g) <= OVERLAP_TOL
-    if np.any(small):
-        l, j = np.argwhere(small)[0]
-        raise OverlapTooSmall(l, j, abs(g[l, j]))
+    g = _admissible_overlaps(pair)
     coeff = np.outer(q, p) / g.conj()
     return pair.post @ coeff @ pair.pre.conj().T
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,7 @@ def test_singular_exit_code(capsys):
         ["birkhoff", "sample", "--corners", "0,1,2,3,4"],
         ["birkhoff", "hypocycloid", "--corners", "0,3"],
         ["birkhoff", "corners", "--n", "7"],
+        ["reconstruct", "nan,1", "--theta", "0.9"],  # non-finite tau
     ],
 )
 def test_usage_errors_exit_four(argv, capsys):
@@ -131,6 +135,20 @@ def test_help_exits_clean(capsys):
     capsys.readouterr()
     assert cli.main(["weak-table", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point(capsys):
+    """``python -m weakvalues`` runs the CLI and prints what cli.main prints."""
+    argv = ["reconstruct", "0.7,0.3", "--theta", "0.9"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakvalues", *argv],
+        capture_output=True, env=env, timeout=60, check=False,
+    )
+    code, out, _ = invoke(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_byte_determinism(tmp_path, capsys):

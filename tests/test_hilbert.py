@@ -63,6 +63,13 @@ def test_check_distribution():
         check_distribution([[0.5, 0.5]])
 
 
+def test_check_distribution_rejects_non_finite():
+    # NaN passes every "dev > tol" comparison, so it needs its own gate
+    for bad in ([float("nan"), 1.0], [float("inf"), 0.0], [0.5, float("-inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            check_distribution(bad)
+
+
 def test_basis_pair_requires_orthonormal_columns():
     good = standard_basis(2)
     skew = np.array([[1, 1], [0, 1]], dtype=complex)

@@ -136,3 +136,63 @@ def test_condition_number_tracks_degeneracy():
     healthy = reconstruct_full(rotated_pair(2, 0.3), [0.6, 0.4])
     strained = reconstruct_full(rotated_pair(2, 1.5), [0.6, 0.4])
     assert strained.condition < healthy.condition
+
+
+def reference_full(pair, tau):
+    """The joint n^2 x n^2 linear system, solved least-squares.
+
+    One equation per (post outcome m, pre vector j):
+
+        G[m, j] X[j, j] - sum_{l != m} G[l, j] X[m, l] = G[m, j] tau[m],
+
+    with G the raw overlaps, X[j, j] = rho_psi[j] and X[m, l] (m != l) the
+    post-basis off-diagonals.  Kept as an independent check on the closed
+    form in reconstruct_full.
+    """
+    g = pair.overlaps()
+    n = g.shape[0]
+
+    def unknown(k, l):
+        if k == l:
+            return k
+        return n + k * (n - 1) + (l if l < k else l - 1)
+
+    system = np.zeros((n * n, n * n), dtype=complex)
+    rhs = np.zeros(n * n, dtype=complex)
+    for m in range(n):
+        for j in range(n):
+            row = m * n + j
+            system[row, unknown(j, j)] += g[m, j]
+            for l in range(n):
+                if l != m:
+                    system[row, unknown(m, l)] -= g[l, j]
+            rhs[row] = g[m, j] * tau[m]
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    offdiag = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        for l in range(n):
+            if l != m:
+                offdiag[m, l] = solution[unknown(m, l)]
+    return solution[:n].real, offdiag
+
+
+def test_closed_form_matches_joint_system(rng):
+    # bound fixed before any run: 1e3 eps, scaled by the solution's size and
+    # by the reciprocal condition number of mu
+    eps = np.finfo(float).eps
+    for dim in range(2, 9):
+        for _ in range(30):
+            pair = BasisPair(haar_unitary(dim, rng), haar_unitary(dim, rng))
+            if is_irreversible(pair)[0]:
+                continue
+            tau = rng.dirichlet(np.ones(dim))
+            sol = reconstruct_full(pair, tau)
+            rho_ref, off_ref = reference_full(pair, tau)
+            delta = max(
+                np.max(np.abs(sol.rho_psi - rho_ref)),
+                np.max(np.abs(sol.rho_phi_offdiag - off_ref)),
+            )
+            scale = max(1.0, np.max(np.abs(rho_ref)), np.max(np.abs(off_ref)))
+            assert delta <= 1e3 * eps * scale / sol.condition, (dim, delta)
+            mu = overlap_matrix(pair)
+            assert sol.residual == np.linalg.norm(mu @ sol.rho_psi - tau)
