@@ -10,6 +10,7 @@ the polytope's interior.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,21 +118,28 @@ def combine(coeffs, corners):
     ``coeffs`` must be barycentric: nonnegative and summing to one.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    corners = np.asarray(corners, dtype=float)
     if coeffs.ndim != 1 or len(coeffs) != len(corners):
         raise ValueError(
             f"need one coefficient per corner: {coeffs.shape} vs {len(corners)}"
         )
+    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(corners))):
+        raise ValueError("coefficients and corners must be finite")
     if np.min(coeffs) < -BISTOCHASTIC_TOL:
         raise ValueError("barycentric coefficients must be nonnegative")
     if abs(float(np.sum(coeffs)) - 1.0) > BISTOCHASTIC_TOL:
         raise ValueError("barycentric coefficients must sum to 1")
-    return np.einsum("m,mij->ij", coeffs, np.asarray(corners, dtype=float))
+    return np.einsum("m,mij->ij", coeffs, corners)
 
 
 def distance(a, b):
-    """Frobenius distance sqrt(tr[(A-B)(A-B)^dagger]) between two matrices."""
+    """Frobenius distance sqrt(tr[(A-B)(A-B)^dagger]) between two matrices.
+
+    Broadcasts over leading axes; a single pair gives a Python float.
+    """
     d = np.asarray(a) - np.asarray(b)
-    return float(np.sqrt(np.sum(np.abs(d) ** 2)))
+    dist = np.sqrt(np.sum(np.abs(d) ** 2, axis=(-2, -1)))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def chain_links(mu, cols=(0, 1)):
@@ -454,17 +462,17 @@ def simplex_grid(num_corners, resolution):
         raise ValueError("need at least one corner")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    # Stars and bars: num_corners - 1 cut positions among the edges slots
+    # split the resolution units; each gap between cuts is one coordinate.
     edges = resolution + num_corners - 1
-    points = []
-    for cut in itertools.combinations(range(edges), num_corners - 1):
-        prev = -1
-        counts = []
-        for c in cut:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(edges - 1 - prev)
-        points.append(counts)
-    return np.asarray(points, dtype=float) / resolution
+    shape = (math.comb(edges, num_corners - 1), num_corners - 1)
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(edges), shape[1])),
+        dtype=np.intp,
+        count=shape[0] * shape[1],
+    ).reshape(shape)
+    bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, edges)))
+    return (np.diff(bounds, axis=1) - 1) / resolution
 
 
 @dataclass(frozen=True, eq=False)

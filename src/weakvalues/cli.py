@@ -7,6 +7,8 @@ Subcommands:
     birkhoff     classify|sample|hypocycloid|corners polytope classification and meshes
 
 Exit codes: 0 ok, 2 vanishing overlap, 3 singular measurement, 4 bad input.
+NaN and inf are refused: as input they are bad input, and a document that
+would contain one exits 4 without writing anything.
 Output is deterministic: identical invocations produce byte-identical
 documents.  JSON serializes complex entries as {"re": x, "im": y} and floats
 with 17 significant digits; CSV flattens the same document into key,value
@@ -16,6 +18,7 @@ rows with complex paths split into <path>_re / <path>_im.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -68,55 +71,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to write the non-finite number {x!r}")
+    return format(x, ".17g")
 
 
-def _payload(value):
-    """Convert numpy containers into plain structures for the serializers."""
-    if isinstance(value, np.ndarray):
-        return [_payload(v) for v in value]
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (list, tuple)):
-        return [_payload(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _payload(v) for k, v in value.items()}
-    return value
+def _plain(value):
+    """numpy arrays and scalars as Python lists and scalars (converted in C)."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
-def _is_complex_pair(value):
-    return isinstance(value, dict) and set(value) == {"re", "im"}
-
-
-def _inline(value):
-    if isinstance(value, dict):
-        return _is_complex_pair(value)
-    if isinstance(value, (list, tuple)):
-        return False
-    return True
-
-
-def _dumps(value, indent=0):
-    pad = "  " * indent
+def _scalar(value, null):
+    """A bool, None, int, float or string leaf as text; ``null`` spells None."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
-        return "null"
-    if isinstance(value, int):
-        return str(value)
+        return null
     if isinstance(value, float):
         return _fmt(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _dumps(value, indent=0):
+    value = _plain(value)
+    if isinstance(value, complex):
+        return '{"re": %s, "im": %s}' % (_fmt(value.real), _fmt(value.imag))
     if isinstance(value, str):
         return json.dumps(value)
+    pad = "  " * indent
     if isinstance(value, dict):
-        if _is_complex_pair(value):
-            return '{"re": %s, "im": %s}' % (_fmt(value["re"]), _fmt(value["im"]))
         if not value:
             return "{}"
         body = ",\n".join(
@@ -126,27 +111,19 @@ def _dumps(value, indent=0):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(_inline(v) for v in value):
+        value = [_plain(v) for v in value]
+        if not any(isinstance(v, (list, tuple, dict)) for v in value):
             return "[" + ", ".join(_dumps(v) for v in value) + "]"
         body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _scalar_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+    return _scalar(value, "null")
 
 
 def _flatten(value, key, rows):
-    if _is_complex_pair(value):
-        rows.append((f"{key}_re", value["re"]))
-        rows.append((f"{key}_im", value["im"]))
+    value = _plain(value)
+    if isinstance(value, complex):
+        rows.append((f"{key}_re", _fmt(value.real)))
+        rows.append((f"{key}_im", _fmt(value.imag)))
     elif isinstance(value, dict):
         for k, v in value.items():
             _flatten(v, f"{key}/{k}" if key else k, rows)
@@ -154,20 +131,16 @@ def _flatten(value, key, rows):
         for i, v in enumerate(value):
             _flatten(v, f"{key}/{i}" if key else str(i), rows)
     else:
-        rows.append((key, value))
+        rows.append((key, _scalar(value, "")))
 
 
 def _render(document, fmt):
-    document = _payload(document)
     if fmt == "json":
         return _dumps(document) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    rows = []
+    rows = [("key", "value")]
     _flatten(document, "", rows)
-    for key, value in rows:
-        writer.writerow([key, _scalar_cell(value)])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -180,9 +153,12 @@ def _parse_floats(text, what):
     if not parts:
         raise ValueError(f"{what} is empty")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _parse_ints(text, what):
@@ -197,10 +173,14 @@ def _parse_ints(text, what):
 
 def _json_scalar(entry, where):
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
-    if isinstance(entry, dict) and set(entry) == {"re", "im"}:
-        return complex(float(entry["re"]), float(entry["im"]))
-    raise ValueError(f"{where}: entries must be numbers or {{\"re\", \"im\"}} pairs")
+        value = complex(entry)
+    elif isinstance(entry, dict) and set(entry) == {"re", "im"}:
+        value = complex(float(entry["re"]), float(entry["im"]))
+    else:
+        raise ValueError(f"{where}: entries must be numbers or {{\"re\", \"im\"}} pairs")
+    if not cmath.isfinite(value):
+        raise ValueError(f"{where}: entries must be finite")
+    return value
 
 
 def _json_matrix(rows, where):
@@ -274,11 +254,9 @@ def _build_operator(name, theta, dim):
 
 
 def _check_sums(mu):
-    worst = max(
-        float(np.max(np.abs(mu.sum(axis=0) - 1.0))),
-        float(np.max(np.abs(mu.sum(axis=1) - 1.0))),
-    )
-    if worst > birkhoff.BISTOCHASTIC_TOL:
+    """Row and column sums of one matrix or a stack of them (last two axes)."""
+    worst = float(np.max(np.abs([mu.sum(axis=-1) - 1.0, mu.sum(axis=-2) - 1.0])))
+    if not worst <= birkhoff.BISTOCHASTIC_TOL:
         raise RuntimeError(f"internal check failed: weight sums off by {worst:.3e}")
 
 
@@ -289,7 +267,7 @@ def _cmd_weak_table(args):
     mu = weakval.overlap_matrix(pair)
     wset = weakval.w_operator_set(pair)
     residual = float(np.max(np.abs(weakval.expand(table) - op)))
-    if residual > EXPANSION_TOL:
+    if not residual <= EXPANSION_TOL:
         raise RuntimeError(f"internal check failed: expansion residual {residual:.3e}")
     _check_sums(mu)
     return {
@@ -376,27 +354,37 @@ def _cmd_birkhoff_classify(args):
     }
 
 
-def _resolution(value, low, high):
-    if not low <= value <= high:
-        raise ValueError(f"--resolution must lie in [{low}, {high}], got {value}")
+# The largest grid the CLI builds: a triangle at resolution 512.
+_MAX_GRID_POINTS = math.comb(514, 2)
+
+
+def _grid_resolution(value, low, corners):
+    """``value`` once its grid over ``corners`` corners is known to be small enough."""
+    if value < low:
+        raise ValueError(f"--resolution must be at least {low}, got {value}")
+    count = math.comb(value + corners - 1, corners - 1)
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"--resolution {value} over {corners} corners gives {count} grid points; "
+            f"the limit is {_MAX_GRID_POINTS}"
+        )
     return value
 
 
 def _cmd_birkhoff_sample(args):
     corners = _parse_ints(args.corners, "--corners")
     scan = birkhoff.sample_degenerate_surface(
-        tuple(corners), _resolution(args.resolution, 2, 512)
+        tuple(corners), _grid_resolution(args.resolution, 2, len(corners))
     )
-    for mat in scan.matrices:
-        _check_sums(mat)
+    _check_sums(scan.matrices)
     points = [
-        {
-            "coefficients": scan.coefficients[i],
-            "det": float(scan.dets[i]),
-            "degenerate": bool(scan.degenerate[i]),
-            "unistochastic": bool(scan.unistochastic[i]),
-        }
-        for i in range(len(scan))
+        {"coefficients": c, "det": d, "degenerate": g, "unistochastic": u}
+        for c, d, g, u in zip(
+            scan.coefficients.tolist(),
+            scan.dets.tolist(),
+            scan.degenerate.tolist(),
+            scan.unistochastic.tolist(),
+        )
     ]
     return {
         "command": "birkhoff-sample",
@@ -409,7 +397,7 @@ def _cmd_birkhoff_sample(args):
 def _cmd_birkhoff_hypocycloid(args):
     corners = _parse_ints(args.corners, "--corners")
     coeffs = birkhoff.hypocycloid_boundary(
-        _resolution(args.resolution, 3, 512), corners=tuple(corners)
+        _grid_resolution(args.resolution, 3, 3), corners=tuple(corners)
     )
     # order the locus as a polyline: sweep by angle around the triangle center
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -428,16 +416,11 @@ def _cmd_birkhoff_corners(args):
         raise ValueError("--n must lie in [2, 5] for the distance table")
     corners = birkhoff.permutation_corners(args.n)
     stack = np.stack(corners)
-    m = len(corners)
-    distances = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            distances[i, j] = birkhoff.distance(stack[i], stack[j])
     return {
         "command": "birkhoff-corners",
         "n": args.n,
         "corners": stack.astype(int),
-        "distances": distances,
+        "distances": birkhoff.distance(stack[:, None], stack[None, :]),
     }
 
 
@@ -506,7 +489,7 @@ def main(argv=None):
     except SystemExit as err:  # --help exits argparse directly
         return EXIT_OK if not err.code else EXIT_INPUT
     try:
-        document = args.handler(args)
+        text = _render(args.handler(args), args.format)
     except weakval.OverlapTooSmall as err:
         print(f"error at indices (l={err.l}, j={err.j}): {err}", file=sys.stderr)
         return EXIT_OVERLAP
@@ -516,7 +499,6 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    text = _render(document, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -63,6 +63,8 @@ def check_hermitian(mat, tol=NORM_TOL):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator entries must be finite")
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > tol:
         raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
@@ -225,6 +227,8 @@ def rotated_operator(dim, theta):
     Its eigenvectors are the columns of :func:`rotated_basis`, with
     eigenvalues (+1, -1) for dim 2 and (+1, 0, -1) for dim 3.
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if dim == 2:
         sx, _, sz = pauli_matrices()
         return sz * cos(theta) + sx * sin(theta)

@@ -83,6 +83,15 @@ def test_three_by_three_edge_census():
     assert len(short) + len(long) == len(lengths)
 
 
+def test_distance_broadcasts_over_leading_axes():
+    stack = np.stack(permutation_corners(4))
+    table = distance(stack[:, None], stack[None, :])
+    assert table.shape == (24, 24)
+    for i, j in itertools.product(range(24), repeat=2):
+        assert table[i, j] == distance(stack[i], stack[j])
+    assert type(distance(stack[0], stack[1])) is float
+
+
 def test_affine_dimension_is_four():
     corners = permutation_corners(3)
     span = np.stack([(c - corners[0]).ravel() for c in corners[1:]])
@@ -99,6 +108,9 @@ def test_combine_validates_weights():
         combine([-0.5, 1.5, 0, 0, 0, 0], corners)
     with pytest.raises(ValueError):
         combine([1.0], corners)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            combine([bad, 1.0, 0, 0, 0, 0], corners)
 
 
 def test_random_combinations_are_bistochastic(rng):
@@ -254,6 +266,30 @@ def test_simplex_grid_shape_and_order():
         simplex_grid(0, 4)
     with pytest.raises(ValueError):
         simplex_grid(3, 0)
+
+
+def _loop_simplex_grid(num_corners, resolution):
+    # reference: one Python step per grid point and cut
+    edges = resolution + num_corners - 1
+    points = []
+    for cut in itertools.combinations(range(edges), num_corners - 1):
+        prev = -1
+        counts = []
+        for c in cut:
+            counts.append(c - prev - 1)
+            prev = c
+        counts.append(edges - 1 - prev)
+        points.append(counts)
+    return np.asarray(points, dtype=float) / resolution
+
+
+def test_simplex_grid_matches_loop_reference():
+    for m in range(1, 6):
+        for resolution in range(1, 25):
+            want = _loop_simplex_grid(m, resolution)
+            got = simplex_grid(m, resolution)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_surface_scan_patch():

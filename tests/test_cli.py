@@ -1,5 +1,7 @@
 """In-process checks of the command-line front end: documents, formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -121,6 +123,11 @@ def test_singular_exit_code(capsys):
         ["birkhoff", "hypocycloid", "--corners", "0,3"],
         ["birkhoff", "corners", "--n", "7"],
         ["reconstruct", "nan,1", "--theta", "0.9"],  # non-finite tau
+        ["birkhoff", "classify", "--coeffs", "nan,0,0,0,0,1"],
+        ["birkhoff", "sample", "--corners", "inf,0,1", "--resolution", "4"],
+        ["birkhoff", "sample", "--corners", "0,1,2,3", "--resolution", "91"],  # 134,044 points
+        ["weak-table", "sigma_theta", "exclusive2", "--theta", "nan"],
+        ["weak-table", "sigma_x", "exclusive2", "--theta", "nan"],  # NaN only in the document
     ],
 )
 def test_usage_errors_exit_four(argv, capsys):
@@ -128,6 +135,32 @@ def test_usage_errors_exit_four(argv, capsys):
     assert code == 4
     assert out == ""
     assert err != ""
+
+
+def test_non_finite_files_exit_four(tmp_path, capsys):
+    """NaN in a matrix file is bad input: nothing on stdout, no numpy warning."""
+    op = tmp_path / "op.json"
+    op.write_text("[[NaN, 1], [1, 0]]")
+    mat = tmp_path / "mat.json"
+    mat.write_text("[[NaN, 0.5, 0.5], [0.5, 0.5, 0], [0.5, 0, 0.5]]")
+    for argv in (
+        ["weak-table", f"file:{op}", "exclusive2"],
+        ["birkhoff", "classify", "--file", str(mat)],
+    ):
+        code, out, err = invoke(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert "finite" in err and "RuntimeWarning" not in err
+
+
+def test_check_sums_covers_the_whole_stack():
+    stack = np.stack([np.eye(3), np.full((3, 3), 1 / 3), np.eye(3)[::-1]])
+    cli._check_sums(stack)
+    for bad in (0.5, np.nan):
+        broken = stack.copy()
+        broken[2, 1, 1] = bad
+        with pytest.raises(RuntimeError):
+            cli._check_sums(broken)
 
 
 def test_help_exits_clean(capsys):
@@ -317,3 +350,139 @@ def test_corners_document(capsys):
     assert np.all(
         (np.abs(off - 2.0) < 1e-12) | (np.abs(off - math.sqrt(6.0)) < 1e-12)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference serializer: converts the document to plain Python objects first,
+# complex numbers to {"re", "im"} dicts, then walks the copy once per format
+
+
+def _ref_payload(value):
+    if isinstance(value, np.ndarray):
+        return [_ref_payload(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, (list, tuple)):
+        return [_ref_payload(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _ref_payload(v) for k, v in value.items()}
+    return value
+
+
+def _ref_is_complex_pair(value):
+    return isinstance(value, dict) and set(value) == {"re", "im"}
+
+
+def _ref_inline(value):
+    if isinstance(value, dict):
+        return _ref_is_complex_pair(value)
+    return not isinstance(value, (list, tuple))
+
+
+def _ref_fmt(x):
+    return format(float(x), ".17g")
+
+
+def _ref_dumps(value, indent=0):
+    pad = "  " * indent
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _ref_fmt(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if _ref_is_complex_pair(value):
+            return '{"re": %s, "im": %s}' % (_ref_fmt(value["re"]), _ref_fmt(value["im"]))
+        if not value:
+            return "{}"
+        body = ",\n".join(
+            f"{pad}  {json.dumps(k)}: {_ref_dumps(v, indent + 1)}" for k, v in value.items()
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(_ref_inline(v) for v in value):
+            return "[" + ", ".join(_ref_dumps(v) for v in value) + "]"
+        body = ",\n".join(f"{pad}  {_ref_dumps(v, indent + 1)}" for v in value)
+        return "[\n" + body + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _ref_scalar_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return _ref_fmt(value)
+    return str(value)
+
+
+def _ref_flatten(value, key, rows):
+    if _ref_is_complex_pair(value):
+        rows.append((f"{key}_re", value["re"]))
+        rows.append((f"{key}_im", value["im"]))
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _ref_flatten(v, f"{key}/{k}" if key else k, rows)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _ref_flatten(v, f"{key}/{i}" if key else str(i), rows)
+    else:
+        rows.append((key, value))
+
+
+def _ref_render(document, fmt):
+    document = _ref_payload(document)
+    if fmt == "json":
+        return _ref_dumps(document) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    rows = []
+    _ref_flatten(document, "", rows)
+    for key, value in rows:
+        writer.writerow([key, _ref_scalar_cell(value)])
+    return buf.getvalue()
+
+
+def test_render_matches_reference(tmp_path):
+    """Every handler's document renders to the reference bytes in both formats."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps([[0.5, {"re": 1.0, "im": -2.0}], [{"re": 1.0, "im": 2.0}, -0.5]]))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps([[1 / 3] * 3] * 3))
+    runs = [
+        ["weak-table", "sigma_x", "exclusive2"],  # theta: null
+        ["weak-table", f"file:{op}", "rotated2", "--theta", "0.9"],  # complex operator
+        ["weak-table", "gellmann_5", "rotated3", "--theta", "2.2"],
+        ["reconstruct", "0.7,0.3", "--theta", "0.9"],
+        ["reconstruct", "0.2,0.3,0.5", "--theta", "0.7"],
+        ["birkhoff", "classify", "--coeffs", "0,0,0,0.5,0.5,0"],  # realizing_unitary: None
+        ["birkhoff", "classify", "--coeffs", "0.2,0.1,0.3,0.1,0.2,0.1"],
+        ["birkhoff", "classify", "--coeffs", "0.3,0.7"],
+        ["birkhoff", "classify", "--file", str(flat)],
+        ["birkhoff", "sample", "--corners", "0,1,2,3", "--resolution", "6"],
+        ["birkhoff", "sample", "--corners", "0,3,4", "--resolution", "9"],
+        ["birkhoff", "hypocycloid", "--resolution", "24"],
+        ["birkhoff", "corners", "--n", "2"],
+        ["birkhoff", "corners", "--n", "4"],  # 3-D int array
+    ]
+    parser = cli._build_parser()
+    for argv in runs:
+        args = parser.parse_args(argv)
+        document = args.handler(args)
+        for fmt in ("json", "csv"):
+            assert cli._render(document, fmt) == _ref_render(document, fmt), (argv, fmt)

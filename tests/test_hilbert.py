@@ -50,6 +50,9 @@ def test_hermitian_checks():
         check_hermitian(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         check_hermitian(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            check_hermitian(np.array([[bad, 1], [1, 0]]))
 
 
 def test_check_distribution():
@@ -174,6 +177,8 @@ def test_rotated_basis_rejects_out_of_range_angles():
         rotated_basis(4, 0.5)
     with pytest.raises(ValueError):
         rotated_operator(5, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        rotated_operator(2, np.nan)
 
 
 def test_exclusive_pair_is_mutually_unbiased():
