@@ -162,6 +162,20 @@ def _closure_slack(links):
     return total - 2.0 * largest
 
 
+def _polygon_slack(mu):
+    """Smallest closure slack over the links of every row pair and column pair.
+
+    Two orthogonal columns i, j of a unitary give sum_k U[k,i] conj(U[k,j])
+    = 0, a closed polygon with sides sqrt(mu[k,i] mu[k,j]); rows likewise.
+    A negative slack therefore proves that no unitary has these moduli, for
+    every n.
+    """
+    i, j = np.triu_indices(mu.shape[-1], 1)
+    rows = np.stack([mu, mu.T])  # the rows of mu, then its columns
+    links = np.sqrt(np.clip(rows[:, i] * rows[:, j], 0.0, None))
+    return float(np.min(_closure_slack(links)))
+
+
 def triangle_condition(links, tol=TRIANGLE_TOL):
     """True when three lengths close into a (possibly flat) triangle."""
     return bool(_closure_slack(links) >= -tol)
@@ -179,7 +193,9 @@ def equality_defect(links):
 class UnistochasticCertificate:
     """Outcome of a unistochasticity test.
 
-    verdict is "yes", "no", or (n >= 4 with a failed search) "unknown".
+    verdict is "yes", "no" or "unknown".  For n >= 4, "no" means the links
+    of some row pair or column pair fail to close into a polygon, and
+    "unknown" means they all close but the phase search found no unitary.
     For n = 3 the chain links are attached; for "yes" verdicts a realizing
     unitary is attached, unitary to 1e-9 with |U|^2 matching the input.
     """
@@ -279,21 +295,19 @@ def _phase_polish(u, steps=40, target=1e-12):
     n = u.shape[0]
     r = np.abs(u)
     phi = np.angle(u)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(i.size)[:, None]
+    # flat index of phi[k, j] and phi[k, i] in row (i, j) of the Jacobian;
+    # i != j, so the two never collide
+    col_j, col_i = np.arange(n) * n + j[:, None], np.arange(n) * n + i[:, None]
     best_phi, best_dev = phi, float(_unitarity_deviation(u))
     for _ in range(steps):
-        terms = {}
-        f = np.empty(len(pairs), dtype=complex)
-        for row, (i, j) in enumerate(pairs):
-            t = r[:, i] * r[:, j] * np.exp(1j * (phi[:, j] - phi[:, i]))
-            terms[(i, j)] = t
-            f[row] = t.sum()
-        jac = np.zeros((len(pairs), n * n), dtype=complex)
-        for row, (i, j) in enumerate(pairs):
-            t = terms[(i, j)]
-            for k in range(n):
-                jac[row, k * n + j] += 1j * t[k]
-                jac[row, k * n + i] -= 1j * t[k]
+        # t[p, k] = r[k, i] r[k, j] exp(i (phi[k, j] - phi[k, i])) for pair p
+        t = r.T[i] * r.T[j] * np.exp(1j * (phi.T[j] - phi.T[i]))
+        f = t.sum(axis=1)
+        jac = np.zeros((i.size, n * n), dtype=complex)
+        jac[rows, col_j] += 1j * t
+        jac[rows, col_i] -= 1j * t
         system = np.vstack([jac.real, jac.imag])
         rhs = -np.concatenate([f.real, f.imag])
         step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
@@ -415,8 +429,10 @@ def is_unistochastic(mu, tol=TRIANGLE_TOL, rng=None):
 
     Decisive for n <= 3 (every 2 x 2 doubly stochastic matrix qualifies; for
     n = 3 the chain-closure condition settles it).  For n >= 4 the verdict is
-    "yes" when the numerical search finds a realization and "unknown"
-    otherwise.
+    "no" when the links of some row pair or column pair fail the polygon
+    closure by more than ``tol`` (a necessary condition for every n), "yes"
+    when the numerical search finds a realization, and "unknown" when the
+    polygons close but the search fails.
     """
     mu = check_bistochastic(mu)
     n = mu.shape[0]
@@ -427,6 +443,8 @@ def is_unistochastic(mu, tol=TRIANGLE_TOL, rng=None):
         if not triangle_condition(links, tol):
             return UnistochasticCertificate("no", links, None)
         return UnistochasticCertificate("yes", links, _realize_three(mu, links, tol))
+    if _polygon_slack(mu) < -tol:
+        return UnistochasticCertificate("no", None, None)
     u, converged = unitary_phase_search(mu, rng=rng)
     if converged:
         return UnistochasticCertificate("yes", None, u)

@@ -172,11 +172,18 @@ def _parse_ints(text, what):
 
 
 def _json_scalar(entry, where):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        value = complex(entry)
-    elif isinstance(entry, dict) and set(entry) == {"re", "im"}:
-        value = complex(float(entry["re"]), float(entry["im"]))
-    else:
+    try:
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            value = complex(entry)
+        elif isinstance(entry, dict) and set(entry) == {"re", "im"}:
+            value = complex(float(entry["re"]), float(entry["im"]))
+        else:
+            value = None
+    except OverflowError:  # an integer literal beyond the float range
+        value = complex(math.inf)
+    except TypeError:  # a part that is not a number, such as a list
+        value = None
+    if value is None:
         raise ValueError(f"{where}: entries must be numbers or {{\"re\", \"im\"}} pairs")
     if not cmath.isfinite(value):
         raise ValueError(f"{where}: entries must be finite")
@@ -334,7 +341,11 @@ def _classify_input(args):
 def _cmd_birkhoff_classify(args):
     mu = _classify_input(args)
     bistochastic = birkhoff.is_bistochastic(mu)
-    det = birkhoff.degeneracy(mu)
+    try:  # huge finite entries can overflow the determinant
+        with np.errstate(over="raise", invalid="raise"):
+            det = birkhoff.degeneracy(mu)
+    except FloatingPointError as err:
+        raise ValueError(f"matrix: {err}") from None
     if bistochastic:
         cert = birkhoff.is_unistochastic(mu)
         verdict = cert.verdict

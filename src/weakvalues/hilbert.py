@@ -94,7 +94,7 @@ def _unitarity_deviation(u):
 
 def _check_orthonormal(mat, name):
     dev = float(_unitarity_deviation(mat))
-    if dev > NORM_TOL:
+    if not dev <= NORM_TOL:  # NaN fails too
         raise ValueError(f"{name} basis is not orthonormal (max deviation {dev:.3e})")
 
 

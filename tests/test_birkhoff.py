@@ -4,6 +4,7 @@ unistochastic region with its degenerate surface."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from weakvalues import (
     unistochastic_degenerate_intersection,
     unitary_phase_search,
 )
+from weakvalues.birkhoff import TRIANGLE_TOL, _phase_polish, _polygon_slack
+from weakvalues.hilbert import _unitarity_deviation
 
 
 def random_bistochastic(n, rng, terms=8):
@@ -223,7 +226,50 @@ def test_search_rejects_blocked_obstruction():
     block[3, 3] = 1.0
     with pytest.raises(SearchFailed):
         realize_unitary(block, max_iter=300, restarts=2)
-    assert is_unistochastic(block).verdict == "unknown"
+    assert not unitary_phase_search(block, rng=0)[1]
+    # the links of columns 0 and 1 are those of the 3 x 3 block: they cannot
+    # close, so the polygon screen settles the verdict without a search
+    assert is_unistochastic(block).verdict == "no"
+
+
+def _polygon_overshoot(mu):
+    """Largest link minus the sum of the others, maximized over row and column pairs."""
+    n = mu.shape[0]
+    worst = -math.inf
+    for m in (mu, mu.T):
+        for a, b in itertools.combinations(range(n), 2):
+            links = [math.sqrt(max(m[a, k] * m[b, k], 0.0)) for k in range(n)]
+            worst = max(worst, 2.0 * max(links) - sum(links))
+    return worst
+
+
+def test_polygon_screen_refuses_only_open_polygons():
+    # 200 Dirichlet(0.15) mixes of the 24 corners of B4: about half of them
+    # have a row or column pair whose links cannot close
+    corners = np.stack(permutation_corners(4))
+    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=200)
+    targets = np.einsum("sm,mij->sij", weights, corners)
+    refused = []
+    for mu in targets:
+        cert = is_unistochastic(mu)
+        overshoot = _polygon_overshoot(mu)
+        if cert.verdict == "no":
+            assert overshoot > 0.0
+            assert cert.chain_links is None and cert.realizing_unitary is None
+            refused.append(mu)
+        else:
+            assert overshoot <= 1e-9
+        if cert.verdict == "yes":
+            assert np.max(np.abs(np.abs(cert.realizing_unitary) ** 2 - mu)) < 1e-9
+    assert len(refused) > 0
+    _, ok = unitary_phase_search(np.stack(refused), rng=0)
+    assert not ok.any()
+
+
+def test_polygon_screen_passes_unitary_born_targets(rng):
+    for n in (4, 5):
+        for _ in range(100):
+            assert _polygon_slack(np.abs(haar_unitary(n, rng)) ** 2) >= -TRIANGLE_TOL
 
 
 def test_phase_search_is_deterministic():
@@ -242,6 +288,55 @@ def test_phase_search_batched(rng):
     for u, t in zip(units, targets):
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-9
         assert np.max(np.abs(np.abs(u) ** 2 - t)) < 1e-9
+
+
+def _loop_phase_polish(u, steps=40, target=1e-12):
+    # reference: the Jacobian built entry by entry in a Python double loop
+    n = u.shape[0]
+    r = np.abs(u)
+    phi = np.angle(u)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    best_phi, best_dev = phi, float(_unitarity_deviation(u))
+    for _ in range(steps):
+        terms = {}
+        f = np.empty(len(pairs), dtype=complex)
+        for row, (i, j) in enumerate(pairs):
+            t = r[:, i] * r[:, j] * np.exp(1j * (phi[:, j] - phi[:, i]))
+            terms[(i, j)] = t
+            f[row] = t.sum()
+        jac = np.zeros((len(pairs), n * n), dtype=complex)
+        for row, (i, j) in enumerate(pairs):
+            t = terms[(i, j)]
+            for k in range(n):
+                jac[row, k * n + j] += 1j * t[k]
+                jac[row, k * n + i] -= 1j * t[k]
+        system = np.vstack([jac.real, jac.imag])
+        rhs = -np.concatenate([f.real, f.imag])
+        step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        phi = phi + step.reshape(n, n)
+        candidate = r * np.exp(1j * phi)
+        dev = float(_unitarity_deviation(candidate))
+        if dev < best_dev:
+            best_dev, best_phi = dev, phi
+        if dev <= target:
+            break
+    return r * np.exp(1j * best_phi), best_dev
+
+
+def test_phase_polish_matches_loop_reference(rng):
+    for n in (3, 4):
+        corners = np.stack(permutation_corners(n))
+        for _ in range(20):
+            # a unitary with jittered phases (inside the basin) and a corner
+            # mix with random phases (mostly outside it)
+            near = haar_unitary(n, rng) * np.exp(0.05j * rng.standard_normal((n, n)))
+            mix = np.einsum("m,mij->ij", rng.dirichlet(np.ones(len(corners))), corners)
+            far = np.sqrt(mix) * np.exp(2j * np.pi * rng.random((n, n)))
+            for u in (near, far):
+                want, want_dev = _loop_phase_polish(u)
+                got, got_dev = _phase_polish(u)
+                assert got.tobytes() == want.tobytes()
+                assert got_dev == want_dev
 
 
 def test_equality_defect_zero_means_boundary():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -138,19 +139,29 @@ def test_usage_errors_exit_four(argv, capsys):
 
 
 def test_non_finite_files_exit_four(tmp_path, capsys):
-    """NaN in a matrix file is bad input: nothing on stdout, no numpy warning."""
+    """Numbers a matrix file cannot hold are bad input: one error line, no warning."""
     op = tmp_path / "op.json"
     op.write_text("[[NaN, 1], [1, 0]]")
     mat = tmp_path / "mat.json"
     mat.write_text("[[NaN, 0.5, 0.5], [0.5, 0.5, 0], [0.5, 0, 0.5]]")
-    for argv in (
-        ["weak-table", f"file:{op}", "exclusive2"],
-        ["birkhoff", "classify", "--file", str(mat)],
+    huge = tmp_path / "huge.json"  # an integer beyond the float range
+    huge.write_text("[[" + "1" * 400 + ", 1], [1, 0]]")
+    nested = tmp_path / "nested.json"
+    nested.write_text('[[{"re": [1], "im": 0}, 1], [1, 0]]')
+    big = tmp_path / "big.json"  # finite entries whose determinant overflows
+    big.write_text("[[1e200, -1e200, 1e200], [-1e200, 1e200, 1e200], [1e200, 1e200, -1e200]]")
+    for argv, reason in (
+        (["weak-table", f"file:{op}", "exclusive2"], "finite"),
+        (["birkhoff", "classify", "--file", str(mat)], "finite"),
+        (["weak-table", f"file:{huge}", "exclusive2"], "finite"),
+        (["weak-table", f"file:{nested}", "exclusive2"], "numbers"),
+        (["birkhoff", "classify", "--file", str(big)], "overflow"),
     ):
         code, out, err = invoke(argv, capsys)
         assert code == 4
         assert out == ""
-        assert "finite" in err and "RuntimeWarning" not in err
+        assert reason in err and "RuntimeWarning" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_sums_covers_the_whole_stack():
@@ -282,6 +293,23 @@ def test_classify_half_sum_of_cycles(capsys):
     assert doc["irreversible"] is False
     assert doc["realizing_unitary"] is None
     assert np.allclose(np.array(doc["matrix"]).sum(axis=0), 1.0, atol=1e-15)
+
+
+def test_classify_blocked_half_sum_in_b4(capsys):
+    # the 3 x 3 half-sum of the two cycles, plus a fixed fourth point: the
+    # polygon screen answers "no" for n = 4 without a search
+    perms = list(itertools.permutations(range(4)))
+    weights = [0.0] * 24
+    weights[perms.index((1, 2, 0, 3))] = weights[perms.index((2, 0, 1, 3))] = 0.5
+    code, out, _ = invoke(
+        ["birkhoff", "classify", "--coeffs", ",".join(map(str, weights))], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bistochastic"] is True
+    assert doc["unistochastic"] == "no"
+    assert doc["chain_links"] is None
+    assert doc["realizing_unitary"] is None
 
 
 def test_classify_flat_matrix_from_file(tmp_path, capsys):

@@ -82,6 +82,8 @@ def test_basis_pair_requires_orthonormal_columns():
         BasisPair(good, skew / np.linalg.norm(skew, axis=0))
     with pytest.raises(ValueError):
         BasisPair(good, standard_basis(3))
+    with pytest.raises(ValueError):
+        BasisPair(np.full((2, 2), np.nan), good)
 
 
 def test_basis_pair_is_immutable():
