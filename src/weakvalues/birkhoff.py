@@ -162,18 +162,24 @@ def _closure_slack(links):
     return total - 2.0 * largest
 
 
-def _polygon_slack(mu):
-    """Smallest closure slack over the links of every row pair and column pair.
+def _pair_slacks(mu):
+    """Closure slack of the links of every row pair and column pair.
 
     Two orthogonal columns i, j of a unitary give sum_k U[k,i] conj(U[k,j])
     = 0, a closed polygon with sides sqrt(mu[k,i] mu[k,j]); rows likewise.
     A negative slack therefore proves that no unitary has these moduli, for
-    every n.
+    every n.  Returns ``(slack, i, j)``: ``slack[0, p]`` belongs to rows
+    ``i[p]`` and ``j[p]``, ``slack[1, p]`` to those columns.
     """
     i, j = np.triu_indices(mu.shape[-1], 1)
     rows = np.stack([mu, mu.T])  # the rows of mu, then its columns
     links = np.sqrt(np.clip(rows[:, i] * rows[:, j], 0.0, None))
-    return float(np.min(_closure_slack(links)))
+    return _closure_slack(links), i, j
+
+
+def _polygon_slack(mu):
+    """Smallest closure slack over the links of every row pair and column pair."""
+    return float(np.min(_pair_slacks(mu)[0]))
 
 
 def triangle_condition(links, tol=TRIANGLE_TOL):
@@ -260,27 +266,35 @@ def _project_iterate(g, r, max_iter):
 
     Entries leave the working set once unitary to _SEARCH_TOL or once the
     best deviation has not improved (relatively) for _SEARCH_PLATEAU steps;
-    infeasible targets hit a positive floor and stall out quickly.
+    infeasible targets hit a positive floor and stall out quickly.  The live
+    entries are carried as compact arrays and written back to ``g`` when they
+    leave, or once after ``max_iter`` steps.
     """
-    batch = g.shape[0]
-    best = np.full(batch, np.inf)
-    stall = np.zeros(batch, dtype=int)
-    final_dev = np.full(batch, np.inf)
-    alive = np.arange(batch)
+    final_dev = np.full(g.shape[0], np.inf)
+    alive = np.arange(g.shape[0])
+    ga, ra = g, r
+    dev = np.full(alive.size, np.inf)
+    best = np.full(alive.size, np.inf)
+    stall = np.zeros(alive.size, dtype=int)
     for _ in range(max_iter):
         if alive.size == 0:
             break
-        ga = g[alive]
         u, _, vh = np.linalg.svd(ga)
-        ga = r[alive] * np.exp(1j * np.angle(u @ vh))
-        g[alive] = ga
+        ga = ra * np.exp(1j * np.angle(u @ vh))
         dev = _unitarity_deviation(ga)
-        final_dev[alive] = dev
-        improved = dev < best[alive] * (1.0 - 1e-9)
-        best[alive] = np.minimum(best[alive], dev)
-        stall[alive] = np.where(improved, 0, stall[alive] + 1)
-        done = (dev <= _SEARCH_TOL) | (stall[alive] > _SEARCH_PLATEAU)
-        alive = alive[~done]
+        improved = dev < best * (1.0 - 1e-9)
+        best = np.minimum(best, dev)
+        stall = np.where(improved, 0, stall + 1)
+        done = (dev <= _SEARCH_TOL) | (stall > _SEARCH_PLATEAU)
+        if done.any():
+            g[alive[done]] = ga[done]
+            final_dev[alive[done]] = dev[done]
+            live = ~done
+            alive, ga, ra, dev, best, stall = (
+                x[live] for x in (alive, ga, ra, dev, best, stall)
+            )
+    g[alive] = ga
+    final_dev[alive] = dev
     return g, final_dev
 
 
@@ -321,6 +335,19 @@ def _phase_polish(u, steps=40, target=1e-12):
     return r * np.exp(1j * best_phi), best_dev
 
 
+def _sign_patterns(n):
+    """Phase fields of +-1 signs on up to four free entries, all-zero excluded."""
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
+    fields = []
+    for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
+        if any(bits):  # the all-zero pattern is the first attempt
+            phases = np.zeros((n, n))
+            for (i, j), b in zip(cells, bits):
+                phases[i, j] = b
+            fields.append(phases)
+    return np.stack(fields)
+
+
 def unitary_phase_search(targets, rng=None, max_iter=800, restarts=4):
     """Find unitaries with prescribed squared moduli by alternating projection.
 
@@ -328,14 +355,21 @@ def unitary_phase_search(targets, rng=None, max_iter=800, restarts=4):
     iterate is projected to the nearest unitary (polar factor) and then back
     to the fixed-modulus set; an iterate that stalls inside the basin is
     finished by a Gauss-Newton polish of its phases.  Success means the
-    fixed-modulus iterate is unitary to 1e-9.  Unresolved targets are
-    retried: first from zero phases, then from ``restarts`` random phase
-    fields, finally (only for targets that have already come within 1e-2 of
-    unitarity) from the +-1 sign assignments of up to four free entries.
-    The sign starts rescue targets near the boundary of feasibility, where
-    the solution phases sit close to 0 or pi and random starts converge too
-    slowly; gating them on basin entry keeps clearly infeasible targets from
-    burning through the whole ladder.  Deterministic for a given ``rng`` seed.
+    fixed-modulus iterate is unitary to 1e-9.
+
+    Unresolved targets go through the stages in order: zero phases, then
+    ``restarts`` random phase fields (one stage each, drawn only for the
+    targets still unresolved), then the pattern stage, which starts every
+    target that has already come within 1e-2 of unitarity from each of the
+    +-1 sign assignments of up to four free entries (15 for n >= 3), all in
+    one batch.  Within a stage a target takes its first success in start
+    order: a start that projects to 1e-9 wins outright, one that ends within
+    1e-2 is polished and wins if the polish reaches 1e-9, and no start after
+    the winner is polished.  The sign starts rescue targets near the boundary
+    of feasibility, where the solution phases sit close to 0 or pi and random
+    starts converge too slowly; gating them on basin entry keeps clearly
+    infeasible targets from burning through the whole ladder.  Deterministic
+    for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.
@@ -349,47 +383,41 @@ def unitary_phase_search(targets, rng=None, max_iter=800, restarts=4):
     ok = np.zeros(batch, dtype=bool)
     gen = np.random.default_rng(0 if rng is None else rng)
 
-    def seeds():
-        yield "zero", None
-        for _ in range(restarts):
-            yield "random", None
-        cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
-        for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
-            if any(bits):  # the all-zero pattern is the first attempt
-                yield "pattern", (cells, bits)
-
     best_dev = np.full(batch, np.inf)
-    for kind, data in seeds():
+    for kind in ["zero"] + ["random"] * restarts + ["pattern"]:
         todo = np.flatnonzero(~ok)
-        if todo.size == 0:
-            break
         if kind == "pattern":
             todo = todo[best_dev[todo] <= 1e-2]
-            if todo.size == 0:
-                continue
+        if todo.size == 0:
+            continue
         r = roots[todo]
+        # starts (targets, starts per target, n, n), target-major
         if kind == "zero":
-            g = r.astype(complex)
+            g = r.astype(complex)[:, None]
         elif kind == "random":
-            g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
+            g = (r * np.exp(2j * np.pi * gen.random((todo.size, n, n))))[:, None]
         else:
-            cells, bits = data
-            phases = np.zeros((todo.size, n, n))
-            for (i, j), b in zip(cells, bits):
-                phases[:, i, j] = b
-            g = r * np.exp(1j * phases)
-        g, final_dev = _project_iterate(g, r, max_iter)
-        best_dev[todo] = np.minimum(best_dev[todo], final_dev)
-        good = final_dev <= _SEARCH_ACCEPT
+            g = r[:, None] * np.exp(1j * _sign_patterns(n))
+        starts = g.shape[1]
+        g, final_dev = _project_iterate(
+            g.reshape(-1, n, n), np.repeat(r, starts, axis=0), max_iter
+        )
+        g = g.reshape(todo.size, starts, n, n)
+        final_dev = final_dev.reshape(todo.size, starts)
+        best_dev[todo] = np.minimum(best_dev[todo], final_dev.min(axis=1))
         # projection alone crawls near the feasibility boundary; polish
         # whatever landed in the basin but short of acceptance
-        for b in np.flatnonzero(~good & (final_dev <= 1e-2)):
-            polished, dev = _phase_polish(g[b])
-            if dev <= _SEARCH_ACCEPT:
-                g[b] = polished
-                good[b] = True
-        ok[todo[good]] = True
-        out[todo[good]] = g[good]
+        basin = final_dev <= 1e-2
+        for t in np.flatnonzero(basin.any(axis=1)):
+            for s in np.flatnonzero(basin[t]):
+                u = g[t, s]
+                if final_dev[t, s] > _SEARCH_ACCEPT:
+                    u, dev = _phase_polish(u)
+                    if dev > _SEARCH_ACCEPT:
+                        continue
+                ok[todo[t]] = True
+                out[todo[t]] = u
+                break
 
     if single:
         return out[0], bool(ok[0])
@@ -402,7 +430,10 @@ def realize_unitary(mu, rng=None, max_iter=800, restarts=4):
     n = 2 uses the closed rotation form, n = 3 the chain-closure phase
     construction, n >= 4 the iterative phase search (raising SearchFailed
     when it does not converge).  Raises NotUnistochastic for n <= 3 targets
-    that fail the closure condition.
+    that fail the closure condition.  For n >= 4 a target whose links of
+    some row pair or column pair fail the polygon closure by more than
+    TRIANGLE_TOL raises SearchFailed at once, naming that pair, without a
+    search.
     """
     mu = check_bistochastic(mu)
     n = mu.shape[0]
@@ -411,6 +442,14 @@ def realize_unitary(mu, rng=None, max_iter=800, restarts=4):
     elif n == 3:
         u = _realize_three(mu, chain_links(mu))
     else:
+        slack, i, j = _pair_slacks(mu)
+        side, p = np.unravel_index(np.argmin(slack), slack.shape)
+        if slack[side, p] < -TRIANGLE_TOL:
+            raise SearchFailed(
+                f"the links of {('rows', 'columns')[side]} {i[p]} and {j[p]} "
+                f"cannot close into a polygon (slack {slack[side, p]:.3e}); "
+                "no unitary has these moduli"
+            )
         u, converged = unitary_phase_search(
             mu, rng=rng, max_iter=max_iter, restarts=restarts
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -171,20 +172,21 @@ def _parse_ints(text, what):
     return out
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_scalar(entry, where):
+    if isinstance(entry, dict) and set(entry) == {"re", "im"}:
+        parts = (entry["re"], entry["im"])
+    else:
+        parts = (entry, 0.0)
+    if not all(map(_is_number, parts)):
+        raise ValueError(f"{where}: entries must be numbers or {{\"re\", \"im\"}} pairs")
     try:
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            value = complex(entry)
-        elif isinstance(entry, dict) and set(entry) == {"re", "im"}:
-            value = complex(float(entry["re"]), float(entry["im"]))
-        else:
-            value = None
+        value = complex(*map(float, parts))
     except OverflowError:  # an integer literal beyond the float range
         value = complex(math.inf)
-    except TypeError:  # a part that is not a number, such as a list
-        value = None
-    if value is None:
-        raise ValueError(f"{where}: entries must be numbers or {{\"re\", \"im\"}} pairs")
     if not cmath.isfinite(value):
         raise ValueError(f"{where}: entries must be finite")
     return value
@@ -439,7 +441,9 @@ def _cmd_birkhoff_corners(args):
 # wiring
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="weakvalues", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

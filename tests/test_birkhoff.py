@@ -32,7 +32,15 @@ from weakvalues import (
     unistochastic_degenerate_intersection,
     unitary_phase_search,
 )
-from weakvalues.birkhoff import TRIANGLE_TOL, _phase_polish, _polygon_slack
+from weakvalues import birkhoff
+from weakvalues.birkhoff import (
+    _SEARCH_ACCEPT,
+    _SEARCH_PLATEAU,
+    _SEARCH_TOL,
+    TRIANGLE_TOL,
+    _phase_polish,
+    _polygon_slack,
+)
 from weakvalues.hilbert import _unitarity_deviation
 
 
@@ -266,6 +274,24 @@ def test_polygon_screen_refuses_only_open_polygons():
     assert not ok.any()
 
 
+def test_realize_unitary_refuses_open_polygons_without_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the phase search ran on a refused target")
+
+    monkeypatch.setattr(birkhoff, "unitary_phase_search", no_search)
+    corners = permutation_corners(3)
+    block = np.zeros((4, 4))
+    block[:3, :3] = 0.5 * (corners[3] + corners[4])
+    block[3, 3] = 1.0
+    # rows 0 and 1 of the block have links (0, 0.5, 0, 0): no polygon
+    with pytest.raises(SearchFailed, match="rows 0 and 1 cannot close into a polygon"):
+        realize_unitary(block)
+    # every row pair closes; columns 0 and 3 have links (0, 0, 0.3, 0.2)
+    rows_close = np.array([[5, 3, 2, 0], [0, 2, 3, 5], [3, 2, 2, 3], [2, 3, 3, 2]]) / 10
+    with pytest.raises(SearchFailed, match="columns 0 and 3 cannot close"):
+        realize_unitary(rows_close)
+
+
 def test_polygon_screen_passes_unitary_born_targets(rng):
     for n in (4, 5):
         for _ in range(100):
@@ -288,6 +314,141 @@ def test_phase_search_batched(rng):
     for u, t in zip(units, targets):
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-9
         assert np.max(np.abs(np.abs(u) ** 2 - t)) < 1e-9
+
+
+def _ref_project_iterate(g, r, max_iter):
+    # reference: the full arrays fancy-indexed by the live rows every step
+    batch = g.shape[0]
+    best = np.full(batch, np.inf)
+    stall = np.zeros(batch, dtype=int)
+    final_dev = np.full(batch, np.inf)
+    alive = np.arange(batch)
+    for _ in range(max_iter):
+        if alive.size == 0:
+            break
+        ga = g[alive]
+        u, _, vh = np.linalg.svd(ga)
+        ga = r[alive] * np.exp(1j * np.angle(u @ vh))
+        g[alive] = ga
+        dev = _unitarity_deviation(ga)
+        final_dev[alive] = dev
+        improved = dev < best[alive] * (1.0 - 1e-9)
+        best[alive] = np.minimum(best[alive], dev)
+        stall[alive] = np.where(improved, 0, stall[alive] + 1)
+        done = (dev <= _SEARCH_TOL) | (stall[alive] > _SEARCH_PLATEAU)
+        alive = alive[~done]
+    return g, final_dev
+
+
+def _ref_unitary_phase_search(targets, rng=None, max_iter=800, restarts=4):
+    # reference: one projection call per seed kind, the sign patterns one
+    # after another
+    targets = np.asarray(targets, dtype=float)
+    single = targets.ndim == 2
+    mus = targets.reshape((-1,) + targets.shape[-2:])
+    batch, n, _ = mus.shape
+    roots = np.sqrt(np.clip(mus, 0.0, None))
+    out = roots.astype(complex)
+    ok = np.zeros(batch, dtype=bool)
+    gen = np.random.default_rng(0 if rng is None else rng)
+
+    def seeds():
+        yield "zero", None
+        for _ in range(restarts):
+            yield "random", None
+        cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
+        for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
+            if any(bits):
+                yield "pattern", (cells, bits)
+
+    best_dev = np.full(batch, np.inf)
+    for kind, data in seeds():
+        todo = np.flatnonzero(~ok)
+        if todo.size == 0:
+            break
+        if kind == "pattern":
+            todo = todo[best_dev[todo] <= 1e-2]
+            if todo.size == 0:
+                continue
+        r = roots[todo]
+        if kind == "zero":
+            g = r.astype(complex)
+        elif kind == "random":
+            g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
+        else:
+            cells, bits = data
+            phases = np.zeros((todo.size, n, n))
+            for (i, j), b in zip(cells, bits):
+                phases[:, i, j] = b
+            g = r * np.exp(1j * phases)
+        g, final_dev = _ref_project_iterate(g, r, max_iter)
+        best_dev[todo] = np.minimum(best_dev[todo], final_dev)
+        good = final_dev <= _SEARCH_ACCEPT
+        for b in np.flatnonzero(~good & (final_dev <= 1e-2)):
+            polished, dev = _phase_polish(g[b])
+            if dev <= _SEARCH_ACCEPT:
+                g[b] = polished
+                good[b] = True
+        ok[todo[good]] = True
+        out[todo[good]] = g[good]
+
+    if single:
+        return out[0], bool(ok[0])
+    return out.reshape(targets.shape).astype(complex), ok.reshape(targets.shape[:-2])
+
+
+def _assert_same_search(targets, **kw):
+    want_u, want_ok = _ref_unitary_phase_search(targets, **kw)
+    got_u, got_ok = unitary_phase_search(targets, **kw)
+    assert np.array_equal(got_ok, want_ok)
+    assert got_u.dtype == want_u.dtype and got_u.tobytes() == want_u.tobytes()
+    return got_ok
+
+
+def test_phase_search_matches_reference_on_b4_verdicts(monkeypatch):
+    # the 200 B4 targets of the polygon screen test, certified once by the
+    # search and once by the reference
+    corners = np.stack(permutation_corners(4))
+    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=200)
+    targets = np.einsum("sm,mij->sij", weights, corners)
+    got = [is_unistochastic(mu) for mu in targets]
+    monkeypatch.setattr(birkhoff, "unitary_phase_search", _ref_unitary_phase_search)
+    want = [is_unistochastic(mu) for mu in targets]
+    assert {c.verdict for c in got} == {"yes", "no", "unknown"}
+    for g, w in zip(got, want):
+        assert g.verdict == w.verdict
+        if w.realizing_unitary is None:
+            assert g.realizing_unitary is None
+        else:
+            assert g.realizing_unitary.tobytes() == w.realizing_unitary.tobytes()
+
+
+def test_phase_search_matches_reference_on_batches():
+    # seeds fixed before the first run; the batches go through every stage
+    rng = np.random.default_rng(505)
+    corners3 = np.stack(permutation_corners(3))
+    batch3 = np.einsum("sm,mij->sij", rng.dirichlet(np.ones(6), size=300), corners3)
+    ok3 = _assert_same_search(batch3, rng=7)
+    assert ok3.any() and not ok3.all()
+    corners4 = np.stack(permutation_corners(4))
+    batch4 = np.einsum("sm,mij->sij", rng.dirichlet(np.full(24, 0.15), size=24), corners4)
+    ok4 = _assert_same_search(batch4.reshape(2, 12, 4, 4), rng=3, restarts=2)
+    assert ok4.any() and not ok4.all()
+
+
+def test_phase_search_matches_reference_where_patterns_decide():
+    # a short budget and no random restarts leave some unitary-born targets
+    # to the sign-pattern stage
+    rng = np.random.default_rng(707)
+    targets = np.stack([np.abs(haar_unitary(3, rng)) ** 2 for _ in range(200)])
+    ok = _assert_same_search(targets, rng=0, max_iter=12, restarts=0)
+    # what the zero-phase stage alone realizes, projection then polish
+    roots = np.sqrt(targets)
+    g, dev = _ref_project_iterate(roots.astype(complex), roots, 12)
+    zero_ok = dev <= _SEARCH_ACCEPT
+    for b in np.flatnonzero(~zero_ok & (dev <= 1e-2)):
+        zero_ok[b] = _phase_polish(g[b])[1] <= _SEARCH_ACCEPT
+    assert np.any(ok & ~zero_ok)
 
 
 def _loop_phase_polish(u, steps=40, target=1e-12):

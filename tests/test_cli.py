@@ -148,6 +148,10 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
     huge.write_text("[[" + "1" * 400 + ", 1], [1, 0]]")
     nested = tmp_path / "nested.json"
     nested.write_text('[[{"re": [1], "im": 0}, 1], [1, 0]]')
+    truth = tmp_path / "truth.json"  # a bool is not a number inside a pair either
+    truth.write_text('[[{"re": true, "im": 0}, 1], [1, 0]]')
+    text = tmp_path / "text.json"
+    text.write_text('[[1, 0], [0, {"re": "-1", "im": "0"}]]')
     big = tmp_path / "big.json"  # finite entries whose determinant overflows
     big.write_text("[[1e200, -1e200, 1e200], [-1e200, 1e200, 1e200], [1e200, 1e200, -1e200]]")
     for argv, reason in (
@@ -155,6 +159,8 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         (["birkhoff", "classify", "--file", str(mat)], "finite"),
         (["weak-table", f"file:{huge}", "exclusive2"], "finite"),
         (["weak-table", f"file:{nested}", "exclusive2"], "numbers"),
+        (["weak-table", f"file:{truth}", "exclusive2"], "numbers"),
+        (["weak-table", f"file:{text}", "exclusive2"], "numbers"),
         (["birkhoff", "classify", "--file", str(big)], "overflow"),
     ):
         code, out, err = invoke(argv, capsys)
@@ -179,6 +185,23 @@ def test_help_exits_clean(capsys):
     capsys.readouterr()
     assert cli.main(["weak-table", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once(capsys):
+    """One parser serves every call, whatever the previous call did to it."""
+    parser = cli._build_parser()
+    good = ["reconstruct", "0.7,0.3", "--theta", "0.9", "--format", "csv"]
+    code, first, _ = invoke(good, capsys)
+    assert code == 0 and cli._build_parser() is parser
+    code, out, err = invoke(["reconstruct", "0.5,0.5"], capsys)  # --theta missing
+    assert (code, out) == (4, "") and err.startswith("error: ")
+    assert cli._build_parser() is parser
+    code, out, _ = invoke(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: weakvalues")
+    assert cli._build_parser() is parser
+    code, second, _ = invoke(good, capsys)
+    assert code == 0 and second.encode() == first.encode()
+    assert cli._build_parser() is parser
 
 
 def test_module_entry_point(capsys):
