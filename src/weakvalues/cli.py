@@ -317,6 +317,9 @@ def _cmd_reconstruct(args):
 
 
 _FACTORIALS = {math.factorial(n): n for n in (2, 3, 4, 5)}
+# The largest matrix classify takes: the n <= 8 of permutation_corners.  The
+# n >= 4 search cost grows steeply with n, so larger files are refused.
+_MAX_CLASSIFY_N = 8
 
 
 def _classify_input(args):
@@ -337,6 +340,11 @@ def _classify_input(args):
     mat = mat.real
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix: must be square")
+    if mat.shape[0] > _MAX_CLASSIFY_N:
+        raise ValueError(
+            f"matrix: classify takes at most {_MAX_CLASSIFY_N} x {_MAX_CLASSIFY_N}, "
+            f"got {mat.shape[0]} x {mat.shape[0]}"
+        )
     return mat
 
 

@@ -51,14 +51,14 @@ def inner_product(v, w):
     return complex(np.vdot(v, w))
 
 
-def is_hermitian(mat, tol=NORM_TOL):
+def is_hermitian(mat):
     mat = np.asarray(mat, dtype=complex)
     return mat.ndim == 2 and mat.shape[0] == mat.shape[1] and bool(
-        np.max(np.abs(mat - mat.conj().T)) <= tol
+        np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL
     )
 
 
-def check_hermitian(mat, tol=NORM_TOL):
+def check_hermitian(mat):
     """Return ``mat`` as a complex ndarray, raising if it is not Hermitian."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -66,7 +66,7 @@ def check_hermitian(mat, tol=NORM_TOL):
     if not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
+    if dev > NORM_TOL:
         raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
     return mat
 

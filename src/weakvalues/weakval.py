@@ -21,6 +21,10 @@ import numpy as np
 
 from .hilbert import OVERLAP_TOL, BasisPair, check_distribution
 
+# How far a weak value may exceed the spectral radius before it counts as
+# amplified: absorbs float noise in the eigenvalues.
+_AMPLIFIED_MARGIN = 1e-12
+
 __all__ = [
     "OverlapTooSmall",
     "WeakValueTable",
@@ -199,11 +203,11 @@ def fractional_decomposition(a, pair, k, side="pre"):
     raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
 
 
-def amplified_entries(table, margin=1e-12):
+def amplified_entries(table):
     """Mask of weak values lying outside the operator's spectral range.
 
     True where |wv[l, j]| exceeds max |eigenvalue|: the signature of weak
     amplification, impossible for ordinary expectation values.
     """
     bound = float(np.max(np.abs(np.linalg.eigvalsh(table.operator))))
-    return np.abs(table.values) > bound + margin
+    return np.abs(table.values) > bound + _AMPLIFIED_MARGIN

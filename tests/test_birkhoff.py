@@ -191,6 +191,30 @@ def test_half_sum_of_cycles_is_not_unistochastic():
         realize_unitary(mat)
 
 
+def test_one_by_one_is_unistochastic():
+    cert = is_unistochastic([[1.0]])
+    assert cert.verdict == "yes" and cert.chain_links is None
+    assert cert.realizing_unitary.tobytes() == np.ones((1, 1), dtype=complex).tobytes()
+    assert realize_unitary([[1.0]]).tobytes() == cert.realizing_unitary.tobytes()
+
+
+def test_closed_forms_absorb_tiny_negative_entries():
+    # entries a hair below zero pass the doubly stochastic check; the
+    # closed forms must still return a unitary, not NaN
+    eps = 1e-13
+    two = np.array([[1 + eps, -eps], [-eps, 1 + eps]])
+    three = np.array(
+        [[-eps, 0.5, 0.5 + eps], [0.5, 0.25 + eps, 0.25 - eps], [0.5 + eps, 0.25 - eps, 0.25]]
+    )
+    for mat in (two, three):
+        cert = is_unistochastic(mat)
+        assert cert.verdict == "yes"
+        u = realize_unitary(mat)
+        assert u.tobytes() == cert.realizing_unitary.tobytes()
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(mat)))) < 1e-9
+        assert np.max(np.abs(np.abs(u) ** 2 - mat)) < 1e-9
+
+
 def test_every_two_by_two_is_unistochastic(rng):
     for _ in range(20):
         mat = random_bistochastic(2, rng)
@@ -251,15 +275,25 @@ def _polygon_overshoot(mu):
     return worst
 
 
-def test_polygon_screen_refuses_only_open_polygons():
-    # 200 Dirichlet(0.15) mixes of the 24 corners of B4: about half of them
-    # have a row or column pair whose links cannot close
+@pytest.fixture(scope="module")
+def b4_certified():
+    """200 Dirichlet(0.15) mixes of the 24 corners of B4 and their certificates.
+
+    Certified once and shared by the polygon screen test and the B4 reference
+    test.
+    """
     corners = np.stack(permutation_corners(4))
     weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=200)
     targets = np.einsum("sm,mij->sij", weights, corners)
+    return targets, [is_unistochastic(mu) for mu in targets]
+
+
+def test_polygon_screen_refuses_only_open_polygons(b4_certified):
+    # 200 Dirichlet(0.15) mixes of the 24 corners of B4: about half of them
+    # have a row or column pair whose links cannot close
+    targets, certs = b4_certified
     refused = []
-    for mu in targets:
-        cert = is_unistochastic(mu)
+    for mu, cert in zip(targets, certs):
         overshoot = _polygon_overshoot(mu)
         if cert.verdict == "no":
             assert overshoot > 0.0
@@ -405,13 +439,10 @@ def _assert_same_search(targets, **kw):
     return got_ok
 
 
-def test_phase_search_matches_reference_on_b4_verdicts(monkeypatch):
+def test_phase_search_matches_reference_on_b4_verdicts(b4_certified, monkeypatch):
     # the 200 B4 targets of the polygon screen test, certified once by the
     # search and once by the reference
-    corners = np.stack(permutation_corners(4))
-    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=200)
-    targets = np.einsum("sm,mij->sij", weights, corners)
-    got = [is_unistochastic(mu) for mu in targets]
+    targets, got = b4_certified
     monkeypatch.setattr(birkhoff, "unitary_phase_search", _ref_unitary_phase_search)
     want = [is_unistochastic(mu) for mu in targets]
     assert {c.verdict for c in got} == {"yes", "no", "unknown"}

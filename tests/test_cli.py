@@ -154,6 +154,8 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
     text.write_text('[[1, 0], [0, {"re": "-1", "im": "0"}]]')
     big = tmp_path / "big.json"  # finite entries whose determinant overflows
     big.write_text("[[1e200, -1e200, 1e200], [-1e200, 1e200, 1e200], [1e200, 1e200, -1e200]]")
+    flat9 = tmp_path / "flat9.json"  # larger than classify takes
+    flat9.write_text(json.dumps([[1 / 9] * 9] * 9))
     for argv, reason in (
         (["weak-table", f"file:{op}", "exclusive2"], "finite"),
         (["birkhoff", "classify", "--file", str(mat)], "finite"),
@@ -162,6 +164,7 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         (["weak-table", f"file:{truth}", "exclusive2"], "numbers"),
         (["weak-table", f"file:{text}", "exclusive2"], "numbers"),
         (["birkhoff", "classify", "--file", str(big)], "overflow"),
+        (["birkhoff", "classify", "--file", str(flat9)], "at most 8"),
     ):
         code, out, err = invoke(argv, capsys)
         assert code == 4
@@ -346,6 +349,48 @@ def test_classify_flat_matrix_from_file(tmp_path, capsys):
     assert doc["irreversible"] is True
     u = complex_matrix(doc["realizing_unitary"])
     assert np.allclose(np.abs(u) ** 2, 1 / 3, atol=1e-9)
+
+
+def test_classify_one_by_one_file(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text("[[1]]")
+    code, out, _ = invoke(["birkhoff", "classify", "--file", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bistochastic"] is True
+    assert doc["unistochastic"] == "yes"
+    assert doc["chain_links"] is None
+    assert complex_matrix(doc["realizing_unitary"]).tolist() == [[1 + 0j]]
+
+
+# A 4 x 4 target from the seed-7 `requests` inputs of perfbench that the
+# default-budget search realizes only from its sign-pattern starts (the zero
+# and random starts stall near 1e-2); a change to the search must keep the
+# verdict.
+PATTERN_RESCUE_COEFFS = [
+    "0.0005349750235330286", "0.012083383178455802", "7.983052514484699e-06",
+    "0.2852871648354465", "0.11514031237999822", "0.00048062370444046176",
+    "0.005156206826031674", "0.16404672543914167", "0.0036713703967838234",
+    "0.011893983761161443", "3.062439625422524e-07", "1.525347333604252e-12",
+    "0.001856061105668603", "1.4699911568604427e-05", "0.16666036628615077",
+    "0.03362639642523842", "6.528150080249075e-06", "0.09830611254035812",
+    "0.00010378799909044533", "0.09959579757906059", "0.0014060928729169879",
+    "2.8887324210441764e-05", "2.0479550015958517e-05", "7.175541264572966e-05",
+]
+
+
+def test_classify_keeps_the_pattern_rescue(capsys):
+    code, out, _ = invoke(
+        ["birkhoff", "classify", "--coeffs", ",".join(PATTERN_RESCUE_COEFFS)], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bistochastic"] is True
+    assert doc["unistochastic"] == "yes"
+    mu = np.array(doc["matrix"])
+    u = complex_matrix(doc["realizing_unitary"])
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
+    assert np.max(np.abs(np.abs(u) ** 2 - mu)) < 1e-9
 
 
 def test_classify_rejects_non_bistochastic_file(tmp_path, capsys):
