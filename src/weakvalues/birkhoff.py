@@ -37,6 +37,10 @@ _POLISH_TARGET = 1e-12
 # The default search budget: projection steps per start, random restarts.
 _SEARCH_MAX_ITER = 800
 _SEARCH_RESTARTS = 4
+# An iterate within _BASIN of unitarity is polished, and a target that some
+# start brought there gets up to _BASIN_RESTARTS more random starts.
+_BASIN = 1e-2
+_BASIN_RESTARTS = 4
 
 __all__ = [
     "BISTOCHASTIC_TOL",
@@ -100,7 +104,7 @@ def permutation_corners(n):
 
 def is_bistochastic(mu):
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
+    if mu.ndim != 2 or mu.shape[0] != mu.shape[1] or mu.size == 0:
         return False
     if np.min(mu) < -BISTOCHASTIC_TOL:
         return False
@@ -182,11 +186,6 @@ def _pair_slacks(mu):
     rows = np.stack([mu, mu.T])  # the rows of mu, then its columns
     links = np.sqrt(np.clip(rows[:, i] * rows[:, j], 0.0, None))
     return _closure_slack(links), i, j
-
-
-def _polygon_slack(mu):
-    """Smallest closure slack over the links of every row pair and column pair."""
-    return float(np.min(_pair_slacks(mu)[0]))
 
 
 def triangle_condition(links):
@@ -340,19 +339,6 @@ def _phase_polish(u):
     return r * np.exp(1j * best_phi), best_dev
 
 
-def _sign_patterns(n):
-    """Phase fields of +-1 signs on up to four free entries, all-zero excluded."""
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)][:4]
-    fields = []
-    for bits in itertools.product((0.0, np.pi), repeat=len(cells)):
-        if any(bits):  # the all-zero pattern is the first attempt
-            phases = np.zeros((n, n))
-            for (i, j), b in zip(cells, bits):
-                phases[i, j] = b
-            fields.append(phases)
-    return np.stack(fields)
-
-
 def unitary_phase_search(
     targets, rng=None, max_iter=_SEARCH_MAX_ITER, restarts=_SEARCH_RESTARTS
 ):
@@ -360,24 +346,20 @@ def unitary_phase_search(
 
     ``targets`` may be a single (n, n) matrix or a batch (..., n, n).  Each
     iterate is projected to the nearest unitary (polar factor) and then back
-    to the fixed-modulus set; an iterate that stalls inside the basin is
-    finished by a Gauss-Newton polish of its phases.  Success means the
-    fixed-modulus iterate is unitary to 1e-9.
+    to the fixed-modulus set; an iterate that stalls inside the basin (within
+    1e-2 of unitarity) is finished by a Gauss-Newton polish of its phases.
+    Success means the fixed-modulus iterate is unitary to 1e-9.
 
-    Unresolved targets go through the stages in order: zero phases, then
-    ``restarts`` random phase fields (one stage each, drawn only for the
-    targets still unresolved), then the pattern stage, which starts every
-    target that has already come within 1e-2 of unitarity from each of the
-    +-1 sign assignments of up to four free entries (15 for n >= 3), all in
-    one batch.  Within a stage a target takes its first success in start
-    order: a start that projects to 1e-9 wins outright, one that ends within
-    1e-2 is polished and wins if the polish reaches 1e-9, and no start after
-    the winner is polished.  The sign starts rescue targets on which the zero
-    and random starts stall at a local floor of about 1e-3 to 1e-2; the
-    rescues measured on 4 x 4 targets lie well inside the polygon condition
-    (slack 0.075 to 0.27), not at the boundary of feasibility.  Gating the
-    stage on basin entry keeps clearly infeasible targets from burning
-    through the whole ladder.  Deterministic for a given ``rng`` seed.
+    Unresolved targets go through a ladder of stages, one start per target
+    in each: zero phases, then ``restarts`` random phase fields, then up to
+    four more random phase fields given only to the targets that some earlier
+    start brought into the basin.  A start wins when it projects to 1e-9, or
+    ends in the basin and its polish reaches 1e-9.  The basin restarts rescue
+    targets on which the first starts stall at a local floor of about 1e-3
+    to 1e-2; gating them on basin entry keeps clearly infeasible targets from
+    burning through the whole ladder.  Random phases are drawn stage by
+    stage, only for the targets still unresolved; the result is deterministic
+    for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.
@@ -392,40 +374,27 @@ def unitary_phase_search(
     gen = np.random.default_rng(0 if rng is None else rng)
 
     best_dev = np.full(batch, np.inf)
-    for kind in ["zero"] + ["random"] * restarts + ["pattern"]:
+    for stage in range(1 + restarts + _BASIN_RESTARTS):
         todo = np.flatnonzero(~ok)
-        if kind == "pattern":
-            todo = todo[best_dev[todo] <= 1e-2]
+        if stage > restarts:
+            todo = todo[best_dev[todo] <= _BASIN]
         if todo.size == 0:
-            continue
+            break  # ok only grows and the basin set only shrinks
         r = roots[todo]
-        # starts (targets, starts per target, n, n), target-major
-        if kind == "zero":
-            g = r.astype(complex)[:, None]
-        elif kind == "random":
-            g = (r * np.exp(2j * np.pi * gen.random((todo.size, n, n))))[:, None]
+        if stage == 0:
+            g = r.astype(complex)
         else:
-            g = r[:, None] * np.exp(1j * _sign_patterns(n))
-        starts = g.shape[1]
-        g, final_dev = _project_iterate(
-            g.reshape(-1, n, n), np.repeat(r, starts, axis=0), max_iter
-        )
-        g = g.reshape(todo.size, starts, n, n)
-        final_dev = final_dev.reshape(todo.size, starts)
-        best_dev[todo] = np.minimum(best_dev[todo], final_dev.min(axis=1))
+            g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
+        g, final_dev = _project_iterate(g, r, max_iter)
+        best_dev[todo] = np.minimum(best_dev[todo], final_dev)
         # projection alone crawls near the feasibility boundary; polish
         # whatever landed in the basin but short of acceptance
-        basin = final_dev <= 1e-2
-        for t in np.flatnonzero(basin.any(axis=1)):
-            for s in np.flatnonzero(basin[t]):
-                u = g[t, s]
-                if final_dev[t, s] > _SEARCH_ACCEPT:
-                    u, dev = _phase_polish(u)
-                    if dev > _SEARCH_ACCEPT:
-                        continue
-                ok[todo[t]] = True
-                out[todo[t]] = u
-                break
+        good = final_dev <= _SEARCH_ACCEPT
+        for b in np.flatnonzero(~good & (final_dev <= _BASIN)):
+            g[b], dev = _phase_polish(g[b])
+            good[b] = dev <= _SEARCH_ACCEPT
+        ok[todo[good]] = True
+        out[todo[good]] = g[good]
 
     if single:
         return out[0], bool(ok[0])
@@ -466,8 +435,9 @@ def _unistochastic_verdict(mu, max_iter, restarts):
         u, converged = unitary_phase_search(mu, max_iter=max_iter, restarts=restarts)
         if not converged:
             return UnistochasticCertificate("unknown"), SearchFailed(
-                f"no unitary with the prescribed moduli found in "
-                f"{restarts} x {max_iter} iterations"
+                f"no unitary with the prescribed moduli found from {1 + restarts} "
+                f"starts and up to {_BASIN_RESTARTS} basin restarts, each of up "
+                f"to {max_iter} projection steps"
             )
     if not _verify_realization(u, mu):
         return UnistochasticCertificate("unknown", links), SearchFailed(

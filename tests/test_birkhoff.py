@@ -39,7 +39,6 @@ from weakvalues.birkhoff import (
     _SEARCH_TOL,
     TRIANGLE_TOL,
     _phase_polish,
-    _polygon_slack,
 )
 from weakvalues.hilbert import _unitarity_deviation
 
@@ -134,6 +133,9 @@ def test_is_bistochastic_rejects():
     assert not is_bistochastic(np.array([[0.6, 0.4], [0.5, 0.5]]))
     assert not is_bistochastic(np.array([[1.4, -0.4], [-0.4, 1.4]]))
     assert not is_bistochastic(np.ones((2, 3)))
+    assert not is_bistochastic(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        is_unistochastic(np.zeros((0, 0)))
 
 
 def test_canonical_coefficients_reproduce(rng):
@@ -308,6 +310,14 @@ def test_polygon_screen_refuses_only_open_polygons(b4_certified):
     assert not ok.any()
 
 
+def test_unknown_verdict_names_the_search_budget(b4_certified):
+    targets, certs = b4_certified
+    mu = next(mu for mu, c in zip(targets, certs) if c.verdict == "unknown")
+    budget = "from 5 starts and up to 4 basin restarts, each of up to 800 projection steps"
+    with pytest.raises(SearchFailed, match=budget):
+        realize_unitary(mu)
+
+
 def test_realize_unitary_refuses_open_polygons_without_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the phase search ran on a refused target")
@@ -329,7 +339,7 @@ def test_realize_unitary_refuses_open_polygons_without_search(monkeypatch):
 def test_polygon_screen_passes_unitary_born_targets(rng):
     for n in (4, 5):
         for _ in range(100):
-            assert _polygon_slack(np.abs(haar_unitary(n, rng)) ** 2) >= -TRIANGLE_TOL
+            assert _polygon_overshoot(np.abs(haar_unitary(n, rng)) ** 2) <= TRIANGLE_TOL
 
 
 def test_phase_search_is_deterministic():
@@ -467,19 +477,27 @@ def test_phase_search_matches_reference_on_batches():
     assert ok4.any() and not ok4.all()
 
 
-def test_phase_search_matches_reference_where_patterns_decide():
+def test_phase_search_basin_restarts_realize_beyond_the_zero_stage():
     # a short budget and no random restarts leave some unitary-born targets
-    # to the sign-pattern stage
+    # to the basin restarts
     rng = np.random.default_rng(707)
     targets = np.stack([np.abs(haar_unitary(3, rng)) ** 2 for _ in range(200)])
-    ok = _assert_same_search(targets, rng=0, max_iter=12, restarts=0)
+    kw = dict(rng=0, max_iter=12, restarts=0)
+    want_u, want_ok = _ref_unitary_phase_search(targets, **kw)
+    got_u, ok = unitary_phase_search(targets, **kw)
     # what the zero-phase stage alone realizes, projection then polish
     roots = np.sqrt(targets)
     g, dev = _ref_project_iterate(roots.astype(complex), roots, 12)
     zero_ok = dev <= _SEARCH_ACCEPT
     for b in np.flatnonzero(~zero_ok & (dev <= 1e-2)):
         zero_ok[b] = _phase_polish(g[b])[1] <= _SEARCH_ACCEPT
+    assert ok[zero_ok].all() and want_ok[zero_ok].all()
+    assert got_u[zero_ok].tobytes() == want_u[zero_ok].tobytes()
     assert np.any(ok & ~zero_ok)
+    eye = np.eye(3)
+    for u, t in zip(got_u[ok], targets[ok]):
+        assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-9
+        assert np.max(np.abs(np.abs(u) ** 2 - t)) < 1e-9
 
 
 def _loop_phase_polish(u, steps=40, target=1e-12):
