@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,23 +25,31 @@ from .hilbert import DET_TOL, _unitarity_deviation
 BISTOCHASTIC_TOL = 1e-12
 TRIANGLE_TOL = 1e-12
 
-# Phase search budget: projection stops once an iterate is unitary to
-# _SEARCH_TOL or its deviation has not improved for _SEARCH_PLATEAU steps;
-# a target counts as realized, and a realization as verified, at
-# _SEARCH_ACCEPT.  The polish takes at most _POLISH_STEPS Gauss-Newton steps
-# and stops early at _POLISH_TARGET.
+# Phase search.  Each start alternates polar projection with modulus
+# restoration.  The first time its deviation from unitarity falls to
+# _HANDOFF, the start is handed to a batched Gauss-Newton polish, which damps
+# its steps by _POLISH_DAMPING times trace(J J^T), takes at most
+# _POLISH_STEPS of them and stops early at _POLISH_TARGET; projection goes on
+# for a start that the polish leaves short of acceptance.
+# Projection ends at unitarity to _SEARCH_TOL, or by the stall rule: once
+# _SEARCH_PLATEAU steps in a row have each cut the best deviation by less
+# than the fraction _SEARCH_PROGRESS.  A start that ends in the basin, within
+# _BASIN of unitarity, is polished once more, and a target that some start
+# brought there gets up to _BASIN_RESTARTS more random starts.  A target
+# counts as realized, and a realization as verified, at _SEARCH_ACCEPT.
 _SEARCH_TOL = 1e-11
 _SEARCH_ACCEPT = 1e-9
 _SEARCH_PLATEAU = 60
+_SEARCH_PROGRESS = 3e-4
+_HANDOFF = 3e-2
+_BASIN = 1e-2
+_BASIN_RESTARTS = 4
+_POLISH_DAMPING = 1e-6
 _POLISH_STEPS = 40
 _POLISH_TARGET = 1e-12
 # The default search budget: projection steps per start, random restarts.
 _SEARCH_MAX_ITER = 800
 _SEARCH_RESTARTS = 4
-# An iterate within _BASIN of unitarity is polished, and a target that some
-# start brought there gets up to _BASIN_RESTARTS more random starts.
-_BASIN = 1e-2
-_BASIN_RESTARTS = 4
 
 __all__ = [
     "BISTOCHASTIC_TOL",
@@ -268,11 +277,15 @@ def _verify_realization(u, mu):
 def _project_iterate(g, r, max_iter):
     """Alternate polar projection with modulus restoration, per batch entry.
 
-    Entries leave the working set once unitary to _SEARCH_TOL or once the
-    best deviation has not improved (relatively) for _SEARCH_PLATEAU steps;
-    infeasible targets hit a positive floor and stall out quickly.  The live
-    entries are carried as compact arrays and written back to ``g`` when they
-    leave, or once after ``max_iter`` steps.
+    The first time an entry's deviation falls to _HANDOFF it is handed to
+    :func:`_phase_polish`: if the polish reaches _SEARCH_ACCEPT the entry
+    leaves with the polished iterate, otherwise it keeps projecting from its
+    unpolished one.  Entries also leave once unitary to _SEARCH_TOL, or once
+    _SEARCH_PLATEAU steps in a row have each cut the best deviation by less
+    than the fraction _SEARCH_PROGRESS: infeasible targets, and starts caught
+    at a local floor, stall out there.  The live entries are carried as
+    compact arrays and written back to ``g`` when they leave, or once after
+    ``max_iter`` steps.
     """
     final_dev = np.full(g.shape[0], np.inf)
     alive = np.arange(g.shape[0])
@@ -280,22 +293,31 @@ def _project_iterate(g, r, max_iter):
     dev = np.full(alive.size, np.inf)
     best = np.full(alive.size, np.inf)
     stall = np.zeros(alive.size, dtype=int)
+    handed = np.zeros(alive.size, dtype=bool)
     for _ in range(max_iter):
         if alive.size == 0:
             break
         u, _, vh = np.linalg.svd(ga)
         ga = ra * np.exp(1j * np.angle(u @ vh))
         dev = _unitarity_deviation(ga)
-        improved = dev < best * (1.0 - 1e-9)
+        improved = dev < best * (1.0 - _SEARCH_PROGRESS)
         best = np.minimum(best, dev)
         stall = np.where(improved, 0, stall + 1)
         done = (dev <= _SEARCH_TOL) | (stall > _SEARCH_PLATEAU)
+        fresh = ~handed & ~done & (dev <= _HANDOFF)
+        if fresh.any():
+            handed |= fresh
+            rows = np.flatnonzero(fresh)
+            polished, polished_dev = _phase_polish(ga[rows])
+            won = polished_dev <= _SEARCH_ACCEPT
+            rows = rows[won]
+            ga[rows], dev[rows], done[rows] = polished[won], polished_dev[won], True
         if done.any():
             g[alive[done]] = ga[done]
             final_dev[alive[done]] = dev[done]
             live = ~done
-            alive, ga, ra, dev, best, stall = (
-                x[live] for x in (alive, ga, ra, dev, best, stall)
+            alive, ga, ra, dev, best, stall, handed = (
+                x[live] for x in (alive, ga, ra, dev, best, stall, handed)
             )
     g[alive] = ga
     final_dev[alive] = dev
@@ -303,40 +325,64 @@ def _project_iterate(g, r, max_iter):
 
 
 def _phase_polish(u):
-    """Gauss-Newton on the phase field, holding the moduli fixed.
+    """Gauss-Newton on the phases of a (B, n, n) stack, holding the moduli fixed.
 
     Alternating projection crawls when the target sits near the boundary of
     feasibility (the constraint manifolds meet almost tangentially there);
-    Newton steps on the off-diagonal Gram conditions finish the job at a
-    quadratic rate.  Least-squares steps absorb the gauge freedom.
+    Newton steps on the off-diagonal Gram conditions f = 0 finish the job at
+    a quadratic rate.  The step is the minimum-norm one,
+    J^T (J J^T + lam I)^-1 f with lam = _POLISH_DAMPING * trace(J J^T).  The
+    damping absorbs the rank deficiency of J: phases on the rows of U leave
+    f unchanged and phases on its columns leave f = 0 unchanged, so J loses
+    rank near a solution; zero moduli zero whole columns of J as well.
+    Each entry keeps its best iterate and leaves once unitary to
+    _POLISH_TARGET, or after _POLISH_STEPS steps.  Returns the best iterates
+    and their deviations from unitarity.
     """
-    n = u.shape[0]
+    n = u.shape[-1]
     r = np.abs(u)
-    phi = np.angle(u)
+    best_phi, best_dev = np.angle(u), _unitarity_deviation(u)
     i, j = np.triu_indices(n, 1)
-    rows = np.arange(i.size)[:, None]
-    # flat index of phi[k, j] and phi[k, i] in row (i, j) of the Jacobian;
-    # i != j, so the two never collide
-    col_j, col_i = np.arange(n) * n + j[:, None], np.arange(n) * n + i[:, None]
-    best_phi, best_dev = phi, float(_unitarity_deviation(u))
+    pairs, k = np.arange(i.size)[:, None], np.arange(n)
+    eye = np.eye(2 * i.size)
+    live = np.flatnonzero(best_dev > _POLISH_TARGET)
+    rl, pl = r[live], best_phi[live]
+    ul = rl * np.exp(1j * pl)
     for _ in range(_POLISH_STEPS):
-        # t[p, k] = r[k, i] r[k, j] exp(i (phi[k, j] - phi[k, i])) for pair p
-        t = r.T[i] * r.T[j] * np.exp(1j * (phi.T[j] - phi.T[i]))
-        f = t.sum(axis=1)
-        jac = np.zeros((i.size, n * n), dtype=complex)
-        jac[rows, col_j] += 1j * t
-        jac[rows, col_i] -= 1j * t
-        system = np.vstack([jac.real, jac.imag])
-        rhs = -np.concatenate([f.real, f.imag])
-        step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        phi = phi + step.reshape(n, n)
-        candidate = r * np.exp(1j * phi)
-        dev = float(_unitarity_deviation(candidate))
-        if dev < best_dev:
-            best_dev, best_phi = dev, phi
-        if dev <= _POLISH_TARGET:
+        if live.size == 0:
             break
+        # t[b, p, k] = conj(U[k, i]) U[k, j] for pair p = (i, j): f = (U^dagger U)[i, j]
+        t = np.swapaxes(np.conj(ul[:, :, i]) * ul[:, :, j], 1, 2)
+        f = t.sum(axis=2)
+        # d f[p] / d phi[k, c] is i t[p, k] at c = j and -i t[p, k] at c = i;
+        # the real system stacks the real parts over the imaginary ones
+        dt = np.stack([-t.imag, t.real], axis=1)
+        jac = np.zeros((live.size, 2, i.size, n, n))
+        jac[:, :, pairs, k, j[:, None]] = dt
+        jac[:, :, pairs, k, i[:, None]] = -dt
+        jac = jac.reshape(live.size, 2 * i.size, n * n)
+        jac_t = np.swapaxes(jac, 1, 2)
+        jjt = jac @ jac_t
+        # f = 0 wherever J = 0, so the floor only keeps the solve defined there
+        lam = _POLISH_DAMPING * np.trace(jjt, axis1=1, axis2=2)
+        lam += np.finfo(float).tiny
+        rhs = -np.concatenate([f.real, f.imag], axis=1)[..., None]
+        step = jac_t @ np.linalg.solve(jjt + lam[:, None, None] * eye, rhs)
+        pl = pl + step.reshape(pl.shape)
+        ul = rl * np.exp(1j * pl)
+        dev = _unitarity_deviation(ul)
+        better = dev < best_dev[live]
+        best_dev[live[better]] = dev[better]
+        best_phi[live[better]] = pl[better]
+        keep = dev > _POLISH_TARGET
+        live, rl, pl, ul = live[keep], rl[keep], pl[keep], ul[keep]
     return r * np.exp(1j * best_phi), best_dev
+
+
+def _check_budget(max_iter, restarts):
+    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def unitary_phase_search(
@@ -344,27 +390,49 @@ def unitary_phase_search(
 ):
     """Find unitaries with prescribed squared moduli by alternating projection.
 
-    ``targets`` may be a single (n, n) matrix or a batch (..., n, n).  Each
-    iterate is projected to the nearest unitary (polar factor) and then back
-    to the fixed-modulus set; an iterate that stalls inside the basin (within
-    1e-2 of unitarity) is finished by a Gauss-Newton polish of its phases.
-    Success means the fixed-modulus iterate is unitary to 1e-9.
+    ``targets`` may be a single (n, n) matrix or a batch (..., n, n) of
+    finite entries.  Success means that an iterate carrying the target
+    moduli is unitary to _SEARCH_ACCEPT (1e-9).
+
+    Each start projects its iterate to the nearest unitary (polar factor)
+    and then back to the fixed-modulus set.  The first time the iterate
+    comes within _HANDOFF (3e-2) of unitarity, the start is handed to a
+    Gauss-Newton polish of its phases, batched over every start handed over
+    at that step.  A polish that reaches acceptance wins the start; otherwise
+    projection goes on from the unpolished iterate, so the hand-off can only
+    make a start win sooner.  Projection ends at unitarity to _SEARCH_TOL
+    (1e-11), after ``max_iter`` steps, or once _SEARCH_PLATEAU (60) steps in
+    a row have each cut the best deviation by less than the fraction
+    _SEARCH_PROGRESS (3e-4): starts that crawl at a floor end there, and the
+    next start begins.  The starts of a stage that end within _BASIN (1e-2)
+    of unitarity but short of acceptance are polished once more, all at
+    once.
 
     Unresolved targets go through a ladder of stages, one start per target
     in each: zero phases, then ``restarts`` random phase fields, then up to
-    four more random phase fields given only to the targets that some earlier
-    start brought into the basin.  A start wins when it projects to 1e-9, or
-    ends in the basin and its polish reaches 1e-9.  The basin restarts rescue
-    targets on which the first starts stall at a local floor of about 1e-3
-    to 1e-2; gating them on basin entry keeps clearly infeasible targets from
-    burning through the whole ladder.  Random phases are drawn stage by
+    _BASIN_RESTARTS (4) more random phase fields given only to the targets
+    that some earlier start brought into the basin.  The basin restarts
+    rescue targets on which the first starts stall at a local floor of about
+    1e-3 to 1e-2; gating them on basin entry keeps clearly infeasible targets
+    from burning through the whole ladder.  Random phases are drawn stage by
     stage, only for the targets still unresolved; the result is deterministic
     for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
-    returned matrices carry the target moduli exactly.
+    returned matrices carry the target moduli exactly.  Raises ValueError,
+    before any search, for targets that are not finite square matrices and
+    for a negative ``max_iter`` or ``restarts``.
     """
     targets = np.asarray(targets, dtype=float)
+    shape = targets.shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] == 0:
+        raise ValueError(
+            f"targets must be square matrices of shape (..., n, n) with n >= 1, "
+            f"got shape {shape}"
+        )
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+    _check_budget(max_iter, restarts)
     single = targets.ndim == 2
     mus = targets.reshape((-1,) + targets.shape[-2:])
     batch, n, _ = mus.shape
@@ -387,12 +455,12 @@ def unitary_phase_search(
             g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
         g, final_dev = _project_iterate(g, r, max_iter)
         best_dev[todo] = np.minimum(best_dev[todo], final_dev)
-        # projection alone crawls near the feasibility boundary; polish
-        # whatever landed in the basin but short of acceptance
+        # the starts that stalled in the basin short of acceptance get one
+        # more polish, all at once
+        stalled = (final_dev > _SEARCH_ACCEPT) & (final_dev <= _BASIN)
+        if stalled.any():
+            g[stalled], final_dev[stalled] = _phase_polish(g[stalled])
         good = final_dev <= _SEARCH_ACCEPT
-        for b in np.flatnonzero(~good & (final_dev <= _BASIN)):
-            g[b], dev = _phase_polish(g[b])
-            good[b] = dev <= _SEARCH_ACCEPT
         ok[todo[good]] = True
         out[todo[good]] = g[good]
 
@@ -411,6 +479,7 @@ def _unistochastic_verdict(mu, max_iter, restarts):
     unitary verified to _SEARCH_ACCEPT; one that misses it turns the verdict
     into "unknown".
     """
+    _check_budget(max_iter, restarts)
     mu = check_bistochastic(mu)
     n = mu.shape[0]
     links = None

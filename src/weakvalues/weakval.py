@@ -85,6 +85,27 @@ def _overlap_or_raise(pair, l, j):
     return g
 
 
+def _check_indices(pair, **indices):
+    """Refuse an index outside 0 .. dim - 1; numpy would wrap a negative one."""
+    for name, value in indices.items():
+        if not 0 <= value < pair.dim:
+            raise ValueError(
+                f"index {name} = {value} is outside 0 .. {pair.dim - 1} "
+                f"for a dimension-{pair.dim} pair"
+            )
+
+
+def _check_mixture(pair, p, q):
+    """Both weight vectors as probability vectors of the pair's dimension."""
+    p, q = check_distribution(p), check_distribution(q)
+    if not p.size == q.size == pair.dim:
+        raise ValueError(
+            f"weights p (length {p.size}) and q (length {q.size}) must both "
+            f"have the pair's dimension {pair.dim}"
+        )
+    return p, q
+
+
 def _admissible_overlaps(pair):
     """The overlap matrix G, raising OverlapTooSmall at the first vanishing entry."""
     g = pair.overlaps()
@@ -97,6 +118,7 @@ def _admissible_overlaps(pair):
 
 def weak_value(a, pair, l, j):
     """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
+    _check_indices(pair, l=l, j=j)
     a = np.asarray(a, dtype=complex)
     g = _overlap_or_raise(pair, l, j)
     return complex(np.vdot(pair.post[:, l], a @ pair.pre[:, j]) / g)
@@ -107,6 +129,7 @@ def w_operator(pair, l, j):
 
     Rank one with unit trace for every admissible index pair.
     """
+    _check_indices(pair, l=l, j=j)
     g = _overlap_or_raise(pair, l, j)
     return np.outer(pair.post[:, l], pair.pre[:, j].conj()) / np.conj(g)
 
@@ -165,8 +188,7 @@ def weak_value_by_trace(a, wset, l, j):
 
 def mixed_w_operator(pair, p, q):
     """Transition operator of a statistical mixture: sum_lj q[l] p[j] W[l, j]."""
-    p = check_distribution(p)
-    q = check_distribution(q)
+    p, q = _check_mixture(pair, p, q)
     g = _admissible_overlaps(pair)
     coeff = np.outer(q, p) / g.conj()
     return pair.post @ coeff @ pair.pre.conj().T
@@ -178,8 +200,7 @@ def mixed_weak_value(a, pair, p, q):
     ``p`` weights the pre basis, ``q`` the post basis.  Equals
     tr(A . mixed_w_operator(pair, p, q)^dagger).
     """
-    p = check_distribution(p)
-    q = check_distribution(q)
+    p, q = _check_mixture(pair, p, q)
     table = weak_value_table(a, pair)
     return complex(q @ table.values @ p)
 
@@ -193,6 +214,7 @@ def fractional_decomposition(a, pair, k, side="pre"):
     Each term is computed as <phi|A|psi> * conj(<phi|psi>), so no division
     occurs and zero overlaps contribute zero instead of failing.
     """
+    _check_indices(pair, k=k)
     a = np.asarray(a, dtype=complex)
     g = pair.overlaps()
     num = pair.post.conj().T @ a @ pair.pre

@@ -331,6 +331,34 @@ def test_mixed_weak_value_point_masses_recover_table(rng):
     assert mixed_weak_value(a, pair, p, q) == pytest.approx(table[0, 1], abs=1e-13)
 
 
+def test_mixtures_refuse_weights_of_the_wrong_length():
+    pair = rotated_pair(2, 0.8)
+    sx = pauli_matrices()[0]
+    for p, q in (([1.0], [1.0]), ([1.0], [0.5, 0.5]), ([0.2, 0.3, 0.5], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="must both have the pair's dimension 2"):
+            mixed_w_operator(pair, p, q)
+        with pytest.raises(ValueError, match="must both have the pair's dimension 2"):
+            mixed_weak_value(sx, pair, p, q)
+
+
+def test_indices_outside_the_dimension_are_refused():
+    # a negative index would wrap around to the last basis vector
+    pair = rotated_pair(2, 0.8)
+    sx = pauli_matrices()[0]
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"index l = {bad} is outside 0 .. 1"):
+            weak_value(sx, pair, bad, 0)
+        with pytest.raises(ValueError, match=f"index j = {bad} is outside 0 .. 1"):
+            weak_value(sx, pair, 0, bad)
+        with pytest.raises(ValueError, match=f"index l = {bad} is outside"):
+            w_operator(pair, bad, 0)
+        with pytest.raises(ValueError, match=f"index j = {bad} is outside"):
+            w_operator(pair, 0, bad)
+        for side in ("pre", "post"):
+            with pytest.raises(ValueError, match=f"index k = {bad} is outside"):
+                fractional_decomposition(sx, pair, bad, side=side)
+
+
 def test_fractional_decomposition_sums_to_diagonal(rng):
     for dim in (2, 3):
         pair = random_admissible_pair(dim, rng)
