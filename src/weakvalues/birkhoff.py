@@ -27,24 +27,23 @@ TRIANGLE_TOL = 1e-12
 
 # Phase search.  Each start alternates polar projection with modulus
 # restoration.  The first time its deviation from unitarity falls to
-# _HANDOFF, the start is handed to a batched Gauss-Newton polish, which damps
-# its steps by _POLISH_DAMPING times trace(J J^T), takes at most
-# _POLISH_STEPS of them and stops early at _POLISH_TARGET; projection goes on
-# for a start that the polish leaves short of acceptance.
-# Projection ends at unitarity to _SEARCH_TOL, or by the stall rule: once
-# _SEARCH_PLATEAU steps in a row have each cut the best deviation by less
-# than the fraction _SEARCH_PROGRESS.  A start that ends in the basin, within
-# _BASIN of unitarity, is polished once more, and a target that some start
-# brought there gets up to _BASIN_RESTARTS more random starts.  A target
-# counts as realized, and a realization as verified, at _SEARCH_ACCEPT.
+# _HANDOFF, the start is handed to a batched Gauss-Newton polish, which takes
+# minimum-norm least-squares steps, at most _POLISH_STEPS of them, and stops
+# early at _POLISH_TARGET; projection goes on for a start that the polish
+# leaves short of acceptance.  Projection ends at unitarity to _SEARCH_TOL,
+# or by the stall rule: once _SEARCH_PLATEAU steps in a row have each cut
+# the best deviation by less than the fraction _SEARCH_PROGRESS.  A start
+# that ends in the basin, within _BASIN of unitarity, is polished once more,
+# and a target that some start brought there gets up to _BASIN_RESTARTS more
+# random starts.  A target counts as realized, and a realization as
+# verified, at _SEARCH_ACCEPT.
 _SEARCH_TOL = 1e-11
 _SEARCH_ACCEPT = 1e-9
 _SEARCH_PLATEAU = 60
-_SEARCH_PROGRESS = 3e-4
+_SEARCH_PROGRESS = 1e-4
 _HANDOFF = 3e-2
 _BASIN = 1e-2
 _BASIN_RESTARTS = 4
-_POLISH_DAMPING = 1e-6
 _POLISH_STEPS = 40
 _POLISH_TARGET = 1e-12
 # The default search budget: projection steps per start, random restarts.
@@ -330,52 +329,49 @@ def _phase_polish(u):
     Alternating projection crawls when the target sits near the boundary of
     feasibility (the constraint manifolds meet almost tangentially there);
     Newton steps on the off-diagonal Gram conditions f = 0 finish the job at
-    a quadratic rate.  The step is the minimum-norm one,
-    J^T (J J^T + lam I)^-1 f with lam = _POLISH_DAMPING * trace(J J^T).  The
-    damping absorbs the rank deficiency of J: phases on the rows of U leave
-    f unchanged and phases on its columns leave f = 0 unchanged, so J loses
-    rank near a solution; zero moduli zero whole columns of J as well.
-    Each entry keeps its best iterate and leaves once unitary to
-    _POLISH_TARGET, or after _POLISH_STEPS steps.  Returns the best iterates
-    and their deviations from unitarity.
+    a quadratic rate.  The step is the minimum-norm least-squares one, with
+    singular values below the LAPACK default cutoff dropped: phases on the
+    rows of U leave f unchanged and phases on its columns leave f = 0
+    unchanged, so J loses rank near a solution, and zero moduli zero whole
+    columns of J.  The Jacobians and residuals of the stack are built at
+    once; numpy has no stacked least-squares solver, so the solve is one
+    LAPACK call per entry.  Each entry keeps its best iterate and leaves once
+    unitary to _POLISH_TARGET, or after _POLISH_STEPS steps.  Returns the
+    best iterates and their deviations from unitarity.
     """
     n = u.shape[-1]
     r = np.abs(u)
     best_phi, best_dev = np.angle(u), _unitarity_deviation(u)
     i, j = np.triu_indices(n, 1)
-    pairs, k = np.arange(i.size)[:, None], np.arange(n)
-    eye = np.eye(2 * i.size)
+    pairs = np.arange(i.size)[:, None]
+    # flat index of phi[k, j] and phi[k, i] in row (i, j) of the Jacobian;
+    # i != j, so the two never collide
+    col_j, col_i = np.arange(n) * n + j[:, None], np.arange(n) * n + i[:, None]
     live = np.flatnonzero(best_dev > _POLISH_TARGET)
     rl, pl = r[live], best_phi[live]
-    ul = rl * np.exp(1j * pl)
     for _ in range(_POLISH_STEPS):
         if live.size == 0:
             break
-        # t[b, p, k] = conj(U[k, i]) U[k, j] for pair p = (i, j): f = (U^dagger U)[i, j]
-        t = np.swapaxes(np.conj(ul[:, :, i]) * ul[:, :, j], 1, 2)
+        # t[b, p, k] = r[k, i] r[k, j] exp(i (phi[k, j] - phi[k, i])) for
+        # pair p = (i, j), so that f[b, p] = (U^dagger U)[i, j]
+        rt, pt = np.swapaxes(rl, 1, 2), np.swapaxes(pl, 1, 2)
+        t = rt[:, i] * rt[:, j] * np.exp(1j * (pt[:, j] - pt[:, i]))
         f = t.sum(axis=2)
-        # d f[p] / d phi[k, c] is i t[p, k] at c = j and -i t[p, k] at c = i;
-        # the real system stacks the real parts over the imaginary ones
-        dt = np.stack([-t.imag, t.real], axis=1)
-        jac = np.zeros((live.size, 2, i.size, n, n))
-        jac[:, :, pairs, k, j[:, None]] = dt
-        jac[:, :, pairs, k, i[:, None]] = -dt
-        jac = jac.reshape(live.size, 2 * i.size, n * n)
-        jac_t = np.swapaxes(jac, 1, 2)
-        jjt = jac @ jac_t
-        # f = 0 wherever J = 0, so the floor only keeps the solve defined there
-        lam = _POLISH_DAMPING * np.trace(jjt, axis1=1, axis2=2)
-        lam += np.finfo(float).tiny
-        rhs = -np.concatenate([f.real, f.imag], axis=1)[..., None]
-        step = jac_t @ np.linalg.solve(jjt + lam[:, None, None] * eye, rhs)
+        jac = np.zeros((live.size, i.size, n * n), dtype=complex)
+        jac[:, pairs, col_j] += 1j * t
+        jac[:, pairs, col_i] -= 1j * t
+        system = np.concatenate([jac.real, jac.imag], axis=1)
+        rhs = -np.concatenate([f.real, f.imag], axis=1)
+        step = np.stack(
+            [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(system, rhs)]
+        )
         pl = pl + step.reshape(pl.shape)
-        ul = rl * np.exp(1j * pl)
-        dev = _unitarity_deviation(ul)
+        dev = _unitarity_deviation(rl * np.exp(1j * pl))
         better = dev < best_dev[live]
         best_dev[live[better]] = dev[better]
         best_phi[live[better]] = pl[better]
         keep = dev > _POLISH_TARGET
-        live, rl, pl, ul = live[keep], rl[keep], pl[keep], ul[keep]
+        live, rl, pl = live[keep], rl[keep], pl[keep]
     return r * np.exp(1j * best_phi), best_dev
 
 
@@ -403,10 +399,11 @@ def unitary_phase_search(
     make a start win sooner.  Projection ends at unitarity to _SEARCH_TOL
     (1e-11), after ``max_iter`` steps, or once _SEARCH_PLATEAU (60) steps in
     a row have each cut the best deviation by less than the fraction
-    _SEARCH_PROGRESS (3e-4): starts that crawl at a floor end there, and the
+    _SEARCH_PROGRESS (1e-4): starts that crawl at a floor end there, and the
     next start begins.  The starts of a stage that end within _BASIN (1e-2)
     of unitarity but short of acceptance are polished once more, all at
-    once.
+    once: Gauss-Newton from a floor near 1e-3 can land where it failed from
+    the hand-off.
 
     Unresolved targets go through a ladder of stages, one start per target
     in each: zero phases, then ``restarts`` random phase fields, then up to

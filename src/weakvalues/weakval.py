@@ -85,13 +85,13 @@ def _overlap_or_raise(pair, l, j):
     return g
 
 
-def _check_indices(pair, **indices):
+def _check_indices(dim, **indices):
     """Refuse an index outside 0 .. dim - 1; numpy would wrap a negative one."""
     for name, value in indices.items():
-        if not 0 <= value < pair.dim:
+        if not 0 <= value < dim:
             raise ValueError(
-                f"index {name} = {value} is outside 0 .. {pair.dim - 1} "
-                f"for a dimension-{pair.dim} pair"
+                f"index {name} = {value} is outside 0 .. {dim - 1} "
+                f"for a dimension-{dim} pair"
             )
 
 
@@ -118,7 +118,7 @@ def _admissible_overlaps(pair):
 
 def weak_value(a, pair, l, j):
     """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
-    _check_indices(pair, l=l, j=j)
+    _check_indices(pair.dim, l=l, j=j)
     a = np.asarray(a, dtype=complex)
     g = _overlap_or_raise(pair, l, j)
     return complex(np.vdot(pair.post[:, l], a @ pair.pre[:, j]) / g)
@@ -129,7 +129,7 @@ def w_operator(pair, l, j):
 
     Rank one with unit trace for every admissible index pair.
     """
-    _check_indices(pair, l=l, j=j)
+    _check_indices(pair.dim, l=l, j=j)
     g = _overlap_or_raise(pair, l, j)
     return np.outer(pair.post[:, l], pair.pre[:, j].conj()) / np.conj(g)
 
@@ -182,6 +182,7 @@ def weak_value_by_trace(a, wset, l, j):
     Uses the dual-frame trace form tr(A W[l, j]^dagger); tracing against
     W[l, j] itself would give the complex conjugate instead.
     """
+    _check_indices(wset.shape[0], l=l, j=j)
     a = np.asarray(a, dtype=complex)
     return complex(np.trace(a @ wset[l, j].conj().T))
 
@@ -214,7 +215,7 @@ def fractional_decomposition(a, pair, k, side="pre"):
     Each term is computed as <phi|A|psi> * conj(<phi|psi>), so no division
     occurs and zero overlaps contribute zero instead of failing.
     """
-    _check_indices(pair, k=k)
+    _check_indices(pair.dim, k=k)
     a = np.asarray(a, dtype=complex)
     g = pair.overlaps()
     num = pair.post.conj().T @ a @ pair.pre

@@ -345,6 +345,7 @@ def test_indices_outside_the_dimension_are_refused():
     # a negative index would wrap around to the last basis vector
     pair = rotated_pair(2, 0.8)
     sx = pauli_matrices()[0]
+    wset = w_operator_set(pair)
     for bad in (-1, 2):
         with pytest.raises(ValueError, match=f"index l = {bad} is outside 0 .. 1"):
             weak_value(sx, pair, bad, 0)
@@ -354,6 +355,10 @@ def test_indices_outside_the_dimension_are_refused():
             w_operator(pair, bad, 0)
         with pytest.raises(ValueError, match=f"index j = {bad} is outside"):
             w_operator(pair, 0, bad)
+        with pytest.raises(ValueError, match=f"index l = {bad} is outside 0 .. 1"):
+            weak_value_by_trace(sx, wset, bad, 0)
+        with pytest.raises(ValueError, match=f"index j = {bad} is outside 0 .. 1"):
+            weak_value_by_trace(sx, wset, 0, bad)
         for side in ("pre", "post"):
             with pytest.raises(ValueError, match=f"index k = {bad} is outside"):
                 fractional_decomposition(sx, pair, bad, side=side)
