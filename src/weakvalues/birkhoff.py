@@ -25,19 +25,17 @@ from .hilbert import DET_TOL, _unitarity_deviation
 BISTOCHASTIC_TOL = 1e-12
 TRIANGLE_TOL = 1e-12
 
-# Phase search.  Each start alternates polar projection with modulus
-# restoration.  The first time its deviation from unitarity falls to
-# _HANDOFF, the start is handed to a batched Gauss-Newton polish, which takes
-# minimum-norm least-squares steps, at most _POLISH_STEPS of them, and stops
-# early at _POLISH_TARGET; projection goes on for a start that the polish
-# leaves short of acceptance.  Projection ends at unitarity to _SEARCH_TOL,
-# or by the stall rule: once _SEARCH_PLATEAU steps in a row have each cut
-# the best deviation by less than the fraction _SEARCH_PROGRESS.  A start
-# that ends in the basin, within _BASIN of unitarity, is polished once more,
-# and a target that some start brought there gets up to _BASIN_RESTARTS more
-# random starts.  A target counts as realized, and a realization as
-# verified, at _SEARCH_ACCEPT.
-_SEARCH_TOL = 1e-11
+# Phase search: :func:`_project_iterate` runs one start per target, and
+# :func:`unitary_phase_search` the ladder of starts.  Deviations are from
+# unitarity, max |U^dagger U - 1|.  A start is handed to a Gauss-Newton
+# polish of at most _POLISH_STEPS steps when its deviation first falls to
+# _HANDOFF.  Projection and polish stop at convergence, _SEARCH_TOL.  The
+# stall rule ends projection once _SEARCH_PLATEAU steps in a row have each
+# cut the lowest deviation by less than the fraction _SEARCH_PROGRESS.  A
+# start that ends within _BASIN is polished once more, and a start whose
+# lowest deviation reached it earns its target up to _BASIN_RESTARTS more
+# random starts.  Realizations are accepted and verified at _SEARCH_ACCEPT.
+_SEARCH_TOL = 1e-12
 _SEARCH_ACCEPT = 1e-9
 _SEARCH_PLATEAU = 60
 _SEARCH_PROGRESS = 1e-4
@@ -45,7 +43,6 @@ _HANDOFF = 3e-2
 _BASIN = 1e-2
 _BASIN_RESTARTS = 4
 _POLISH_STEPS = 40
-_POLISH_TARGET = 1e-12
 # The default search budget: projection steps per start, random restarts.
 _SEARCH_MAX_ITER = 800
 _SEARCH_RESTARTS = 4
@@ -274,25 +271,31 @@ def _verify_realization(u, mu):
 
 
 def _project_iterate(g, r, max_iter):
-    """Alternate polar projection with modulus restoration, per batch entry.
+    """Run one start per batch entry, from its first projection step to its result.
 
-    The first time an entry's deviation falls to _HANDOFF it is handed to
-    :func:`_phase_polish`: if the polish reaches _SEARCH_ACCEPT the entry
-    leaves with the polished iterate, otherwise it keeps projecting from its
-    unpolished one.  Entries also leave once unitary to _SEARCH_TOL, or once
-    _SEARCH_PLATEAU steps in a row have each cut the best deviation by less
-    than the fraction _SEARCH_PROGRESS: infeasible targets, and starts caught
-    at a local floor, stall out there.  The live entries are carried as
-    compact arrays and written back to ``g`` when they leave, or once after
-    ``max_iter`` steps.
+    Each step projects the iterate to the nearest unitary (polar factor) and
+    back to the moduli ``r``.  The first time an entry comes within _HANDOFF
+    of unitarity, it is handed to :func:`_phase_polish`, in one call with
+    every entry handed over at that step: a polish that reaches
+    _SEARCH_ACCEPT wins the entry, and otherwise projection goes on from the
+    unpolished iterate.  An entry also leaves at unitarity to _SEARCH_TOL, by
+    the stall rule (_SEARCH_PLATEAU, _SEARCH_PROGRESS), or after ``max_iter``
+    steps.  Live entries are carried as compact arrays.  The entries that end
+    within _BASIN but short of acceptance are polished once more, in one
+    call: Gauss-Newton from a floor near 1e-3 can land where it failed from
+    the hand-off.
+
+    Returns ``(g, won, lowest)``: the iterates, written into ``g``, which
+    entries are unitary to _SEARCH_ACCEPT, and the lowest deviation each
+    entry reached.
     """
-    final_dev = np.full(g.shape[0], np.inf)
+    final = np.full(g.shape[0], np.inf)
+    lowest = np.full(g.shape[0], np.inf)
     alive = np.arange(g.shape[0])
     ga, ra = g, r
     dev = np.full(alive.size, np.inf)
     best = np.full(alive.size, np.inf)
     stall = np.zeros(alive.size, dtype=int)
-    handed = np.zeros(alive.size, dtype=bool)
     for _ in range(max_iter):
         if alive.size == 0:
             break
@@ -300,27 +303,31 @@ def _project_iterate(g, r, max_iter):
         ga = ra * np.exp(1j * np.angle(u @ vh))
         dev = _unitarity_deviation(ga)
         improved = dev < best * (1.0 - _SEARCH_PROGRESS)
+        fresh = (dev <= _HANDOFF) & (best > _HANDOFF)
         best = np.minimum(best, dev)
         stall = np.where(improved, 0, stall + 1)
         done = (dev <= _SEARCH_TOL) | (stall > _SEARCH_PLATEAU)
-        fresh = ~handed & ~done & (dev <= _HANDOFF)
         if fresh.any():
-            handed |= fresh
-            rows = np.flatnonzero(fresh)
+            rows = np.flatnonzero(fresh & ~done)
             polished, polished_dev = _phase_polish(ga[rows])
             won = polished_dev <= _SEARCH_ACCEPT
             rows = rows[won]
             ga[rows], dev[rows], done[rows] = polished[won], polished_dev[won], True
         if done.any():
             g[alive[done]] = ga[done]
-            final_dev[alive[done]] = dev[done]
+            final[alive[done]] = dev[done]
+            lowest[alive[done]] = best[done]
             live = ~done
-            alive, ga, ra, dev, best, stall, handed = (
-                x[live] for x in (alive, ga, ra, dev, best, stall, handed)
+            alive, ga, ra, dev, best, stall = (
+                x[live] for x in (alive, ga, ra, dev, best, stall)
             )
     g[alive] = ga
-    final_dev[alive] = dev
-    return g, final_dev
+    final[alive] = dev
+    lowest[alive] = best
+    floor = (final > _SEARCH_ACCEPT) & (final <= _BASIN)
+    if floor.any():
+        g[floor], final[floor] = _phase_polish(g[floor])
+    return g, final <= _SEARCH_ACCEPT, np.minimum(lowest, final)
 
 
 def _phase_polish(u):
@@ -336,7 +343,7 @@ def _phase_polish(u):
     columns of J.  The Jacobians and residuals of the stack are built at
     once; numpy has no stacked least-squares solver, so the solve is one
     LAPACK call per entry.  Each entry keeps its best iterate and leaves once
-    unitary to _POLISH_TARGET, or after _POLISH_STEPS steps.  Returns the
+    unitary to _SEARCH_TOL, or after _POLISH_STEPS steps.  Returns the
     best iterates and their deviations from unitarity.
     """
     n = u.shape[-1]
@@ -347,7 +354,7 @@ def _phase_polish(u):
     # flat index of phi[k, j] and phi[k, i] in row (i, j) of the Jacobian;
     # i != j, so the two never collide
     col_j, col_i = np.arange(n) * n + j[:, None], np.arange(n) * n + i[:, None]
-    live = np.flatnonzero(best_dev > _POLISH_TARGET)
+    live = np.flatnonzero(best_dev > _SEARCH_TOL)
     rl, pl = r[live], best_phi[live]
     for _ in range(_POLISH_STEPS):
         if live.size == 0:
@@ -370,15 +377,9 @@ def _phase_polish(u):
         better = dev < best_dev[live]
         best_dev[live[better]] = dev[better]
         best_phi[live[better]] = pl[better]
-        keep = dev > _POLISH_TARGET
+        keep = dev > _SEARCH_TOL
         live, rl, pl = live[keep], rl[keep], pl[keep]
     return r * np.exp(1j * best_phi), best_dev
-
-
-def _check_budget(max_iter, restarts):
-    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
-        if not isinstance(value, numbers.Integral) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def unitary_phase_search(
@@ -390,35 +391,23 @@ def unitary_phase_search(
     finite entries.  Success means that an iterate carrying the target
     moduli is unitary to _SEARCH_ACCEPT (1e-9).
 
-    Each start projects its iterate to the nearest unitary (polar factor)
-    and then back to the fixed-modulus set.  The first time the iterate
-    comes within _HANDOFF (3e-2) of unitarity, the start is handed to a
-    Gauss-Newton polish of its phases, batched over every start handed over
-    at that step.  A polish that reaches acceptance wins the start; otherwise
-    projection goes on from the unpolished iterate, so the hand-off can only
-    make a start win sooner.  Projection ends at unitarity to _SEARCH_TOL
-    (1e-11), after ``max_iter`` steps, or once _SEARCH_PLATEAU (60) steps in
-    a row have each cut the best deviation by less than the fraction
-    _SEARCH_PROGRESS (1e-4): starts that crawl at a floor end there, and the
-    next start begins.  The starts of a stage that end within _BASIN (1e-2)
-    of unitarity but short of acceptance are polished once more, all at
-    once: Gauss-Newton from a floor near 1e-3 can land where it failed from
-    the hand-off.
-
     Unresolved targets go through a ladder of stages, one start per target
     in each: zero phases, then ``restarts`` random phase fields, then up to
     _BASIN_RESTARTS (4) more random phase fields given only to the targets
-    that some earlier start brought into the basin.  The basin restarts
-    rescue targets on which the first starts stall at a local floor of about
-    1e-3 to 1e-2; gating them on basin entry keeps clearly infeasible targets
-    from burning through the whole ladder.  Random phases are drawn stage by
-    stage, only for the targets still unresolved; the result is deterministic
-    for a given ``rng`` seed.
+    that some earlier start brought within _BASIN (1e-2) of unitarity, read
+    from the lowest deviation the start reached.  Each stage is one call of
+    :func:`_project_iterate`, which runs every start of the stage, up to
+    ``max_iter`` projection steps each, with its Gauss-Newton polishes.  The
+    basin restarts rescue targets on which the first starts stall at a
+    local floor of about 1e-3 to 1e-2; gating them on basin entry keeps
+    clearly infeasible targets from burning through the whole ladder.
+    Random phases are drawn stage by stage, only for the targets still
+    unresolved; the result is deterministic for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.  Raises ValueError,
     before any search, for targets that are not finite square matrices and
-    for a negative ``max_iter`` or ``restarts``.
+    for a ``max_iter`` or ``restarts`` that is not a nonnegative integer.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -429,7 +418,9 @@ def unitary_phase_search(
         )
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
-    _check_budget(max_iter, restarts)
+    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     single = targets.ndim == 2
     mus = targets.reshape((-1,) + targets.shape[-2:])
     batch, n, _ = mus.shape
@@ -438,35 +429,29 @@ def unitary_phase_search(
     ok = np.zeros(batch, dtype=bool)
     gen = np.random.default_rng(0 if rng is None else rng)
 
-    best_dev = np.full(batch, np.inf)
+    basin = np.zeros(batch, dtype=bool)
     for stage in range(1 + restarts + _BASIN_RESTARTS):
         todo = np.flatnonzero(~ok)
         if stage > restarts:
-            todo = todo[best_dev[todo] <= _BASIN]
+            todo = todo[basin[todo]]
         if todo.size == 0:
-            break  # ok only grows and the basin set only shrinks
+            break  # every later stage runs a subset of these targets
         r = roots[todo]
         if stage == 0:
             g = r.astype(complex)
         else:
             g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
-        g, final_dev = _project_iterate(g, r, max_iter)
-        best_dev[todo] = np.minimum(best_dev[todo], final_dev)
-        # the starts that stalled in the basin short of acceptance get one
-        # more polish, all at once
-        stalled = (final_dev > _SEARCH_ACCEPT) & (final_dev <= _BASIN)
-        if stalled.any():
-            g[stalled], final_dev[stalled] = _phase_polish(g[stalled])
-        good = final_dev <= _SEARCH_ACCEPT
-        ok[todo[good]] = True
-        out[todo[good]] = g[good]
+        g, won, lowest = _project_iterate(g, r, max_iter)
+        basin[todo] |= lowest <= _BASIN
+        ok[todo[won]] = True
+        out[todo[won]] = g[won]
 
     if single:
         return out[0], bool(ok[0])
     return out.reshape(targets.shape).astype(complex), ok.reshape(targets.shape[:-2])
 
 
-def _unistochastic_verdict(mu, max_iter, restarts):
+def _unistochastic_verdict(mu):
     """The one decision behind :func:`is_unistochastic` and :func:`realize_unitary`.
 
     Returns ``(certificate, error)``.  ``error`` is None for a "yes" and
@@ -476,7 +461,6 @@ def _unistochastic_verdict(mu, max_iter, restarts):
     unitary verified to _SEARCH_ACCEPT; one that misses it turns the verdict
     into "unknown".
     """
-    _check_budget(max_iter, restarts)
     mu = check_bistochastic(mu)
     n = mu.shape[0]
     links = None
@@ -498,12 +482,12 @@ def _unistochastic_verdict(mu, max_iter, restarts):
                 f"cannot close into a polygon (slack {slack[side, p]:.3e}); "
                 "no unitary has these moduli"
             )
-        u, converged = unitary_phase_search(mu, max_iter=max_iter, restarts=restarts)
+        u, converged = unitary_phase_search(mu)
         if not converged:
             return UnistochasticCertificate("unknown"), SearchFailed(
-                f"no unitary with the prescribed moduli found from {1 + restarts} "
-                f"starts and up to {_BASIN_RESTARTS} basin restarts, each of up "
-                f"to {max_iter} projection steps"
+                f"no unitary with the prescribed moduli found from "
+                f"{1 + _SEARCH_RESTARTS} starts and up to {_BASIN_RESTARTS} basin "
+                f"restarts, each of up to {_SEARCH_MAX_ITER} projection steps"
             )
     if not _verify_realization(u, mu):
         return UnistochasticCertificate("unknown", links), SearchFailed(
@@ -512,18 +496,18 @@ def _unistochastic_verdict(mu, max_iter, restarts):
     return UnistochasticCertificate("yes", links, u), None
 
 
-def realize_unitary(mu, max_iter=_SEARCH_MAX_ITER, restarts=_SEARCH_RESTARTS):
+def realize_unitary(mu):
     """A unitary whose squared moduli equal ``mu``, when one exists.
 
     n = 1 and 2 use closed forms, n = 3 the chain-closure phase
-    construction, n >= 4 the iterative phase search (raising SearchFailed
-    when it does not converge).  Raises NotUnistochastic for n = 3 targets
-    that fail the closure condition.  For n >= 4 a target whose links of
-    some row pair or column pair fail the polygon closure by more than
-    TRIANGLE_TOL raises SearchFailed at once, naming that pair, without a
-    search.
+    construction, n >= 4 :func:`unitary_phase_search` with its default seed
+    and budget (raising SearchFailed when it does not converge).  Raises
+    NotUnistochastic for n = 3 targets that fail the closure condition.  For
+    n >= 4 a target whose links of some row pair or column pair fail the
+    polygon closure by more than TRIANGLE_TOL raises SearchFailed at once,
+    naming that pair, without a search.
     """
-    cert, error = _unistochastic_verdict(mu, max_iter, restarts)
+    cert, error = _unistochastic_verdict(mu)
     if error is not None:
         raise error
     return cert.realizing_unitary
@@ -540,7 +524,7 @@ def is_unistochastic(mu):
     "unknown" when the polygons close but the search fails.  The search runs
     with its default seed and budget, so the verdict is deterministic.
     """
-    return _unistochastic_verdict(mu, _SEARCH_MAX_ITER, _SEARCH_RESTARTS)[0]
+    return _unistochastic_verdict(mu)[0]
 
 
 def degeneracy(mu):

@@ -95,6 +95,16 @@ def _check_indices(dim, **indices):
             )
 
 
+def _check_operator(a, dim):
+    """``a`` as a complex ndarray, refusing all but a finite dim x dim matrix."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dim, dim):
+        raise ValueError(f"operator of shape {a.shape} does not fit a dimension-{dim} pair")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("operator entries must be finite")
+    return a
+
+
 def _check_mixture(pair, p, q):
     """Both weight vectors as probability vectors of the pair's dimension."""
     p, q = check_distribution(p), check_distribution(q)
@@ -119,7 +129,7 @@ def _admissible_overlaps(pair):
 def weak_value(a, pair, l, j):
     """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
     _check_indices(pair.dim, l=l, j=j)
-    a = np.asarray(a, dtype=complex)
+    a = _check_operator(a, pair.dim)
     g = _overlap_or_raise(pair, l, j)
     return complex(np.vdot(pair.post[:, l], a @ pair.pre[:, j]) / g)
 
@@ -157,7 +167,7 @@ def weak_value_table(a, pair):
     Raises OverlapTooSmall (with the first offending index pair) when the
     pair is not admissible.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _check_operator(a, pair.dim)
     g = _admissible_overlaps(pair)
     values = (pair.post.conj().T @ a @ pair.pre) / g
     return WeakValueTable(values=values, operator=a, pair=pair)
@@ -183,7 +193,7 @@ def weak_value_by_trace(a, wset, l, j):
     W[l, j] itself would give the complex conjugate instead.
     """
     _check_indices(wset.shape[0], l=l, j=j)
-    a = np.asarray(a, dtype=complex)
+    a = _check_operator(a, wset.shape[0])
     return complex(np.trace(a @ wset[l, j].conj().T))
 
 
@@ -216,7 +226,7 @@ def fractional_decomposition(a, pair, k, side="pre"):
     occurs and zero overlaps contribute zero instead of failing.
     """
     _check_indices(pair.dim, k=k)
-    a = np.asarray(a, dtype=complex)
+    a = _check_operator(a, pair.dim)
     g = pair.overlaps()
     num = pair.post.conj().T @ a @ pair.pre
     if side == "pre":

@@ -53,6 +53,8 @@ def test_hermitian_checks():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             check_hermitian(np.array([[bad, 1], [1, 0]]))
+        assert not is_hermitian(np.array([[bad, 1], [1, 0]]))
+        assert not is_hermitian(np.array([[bad, 0], [0, 0]]))
 
 
 def test_check_distribution():

@@ -341,6 +341,27 @@ def test_mixtures_refuse_weights_of_the_wrong_length():
             mixed_weak_value(sx, pair, p, q)
 
 
+def test_operators_must_be_finite_and_fit_the_pair():
+    # numpy would return NaN tables for a NaN operator and a matmul error
+    # for one of the wrong size; Hermiticity is not required
+    pair = rotated_pair(2, 0.8)
+    wset = w_operator_set(pair)
+    calls = (
+        lambda a: weak_value(a, pair, 0, 1),
+        lambda a: weak_value_table(a, pair),
+        lambda a: fractional_decomposition(a, pair, 0),
+        lambda a: weak_value_by_trace(a, wset, 0, 1),
+        lambda a: mixed_weak_value(a, pair, [0.5, 0.5], [0.5, 0.5]),
+    )
+    for call in calls:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                call(np.array([[0, 1], [bad, 0]]))
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not fit a dimension-2 pair"):
+            call(np.eye(3))
+        call(np.array([[0, 1], [0, 0]]))
+
+
 def test_indices_outside_the_dimension_are_refused():
     # a negative index would wrap around to the last basis vector
     pair = rotated_pair(2, 0.8)
