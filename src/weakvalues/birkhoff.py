@@ -1,10 +1,11 @@
 """Geometry of doubly stochastic matrices seen as points of a polytope.
 
 The polytope of n x n doubly stochastic matrices is the convex hull of the
-n! permutation matrices.  This module classifies points of the n = 3
-polytope (unistochastic or not, degenerate or not), realizes unitary
-matrices behind unistochastic points, and samples the surfaces that organize
-the polytope's interior.
+n! permutation matrices.  This module decides which points are
+unistochastic: by closed forms for n <= 3, and for n >= 4 by a polygon screen
+on every row pair and column pair followed by a numerical phase search.  It
+realizes unitary matrices behind unistochastic points, flags degenerate
+ones, and samples the surfaces that organize the n = 3 polytope's interior.
 """
 
 from __future__ import annotations
@@ -280,20 +281,20 @@ def _project_iterate(g, r, max_iter):
     _SEARCH_ACCEPT wins the entry, and otherwise projection goes on from the
     unpolished iterate.  An entry also leaves at unitarity to _SEARCH_TOL, by
     the stall rule (_SEARCH_PLATEAU, _SEARCH_PROGRESS), or after ``max_iter``
-    steps.  Live entries are carried as compact arrays.  The entries that end
-    within _BASIN but short of acceptance are polished once more, in one
-    call: Gauss-Newton from a floor near 1e-3 can land where it failed from
-    the hand-off.
+    steps.  Live entries are carried as compact arrays.  Each entry's exit
+    deviation is read once, from the iterates returned by the loop; with
+    ``max_iter`` 0 that is the deviation of the start itself.  The entries
+    that exit within _BASIN but short of acceptance are polished once more,
+    in one call: Gauss-Newton from a floor near 1e-3 can land where it failed
+    from the hand-off.
 
     Returns ``(g, won, lowest)``: the iterates, written into ``g``, which
     entries are unitary to _SEARCH_ACCEPT, and the lowest deviation each
-    entry reached.
+    entry reached, its exit deviation included.
     """
-    final = np.full(g.shape[0], np.inf)
     lowest = np.full(g.shape[0], np.inf)
     alive = np.arange(g.shape[0])
     ga, ra = g, r
-    dev = np.full(alive.size, np.inf)
     best = np.full(alive.size, np.inf)
     stall = np.zeros(alive.size, dtype=int)
     for _ in range(max_iter):
@@ -312,18 +313,15 @@ def _project_iterate(g, r, max_iter):
             polished, polished_dev = _phase_polish(ga[rows])
             won = polished_dev <= _SEARCH_ACCEPT
             rows = rows[won]
-            ga[rows], dev[rows], done[rows] = polished[won], polished_dev[won], True
+            ga[rows], done[rows] = polished[won], True
         if done.any():
             g[alive[done]] = ga[done]
-            final[alive[done]] = dev[done]
             lowest[alive[done]] = best[done]
             live = ~done
-            alive, ga, ra, dev, best, stall = (
-                x[live] for x in (alive, ga, ra, dev, best, stall)
-            )
+            alive, ga, ra, best, stall = (x[live] for x in (alive, ga, ra, best, stall))
     g[alive] = ga
-    final[alive] = dev
     lowest[alive] = best
+    final = _unitarity_deviation(g)
     floor = (final > _SEARCH_ACCEPT) & (final <= _BASIN)
     if floor.any():
         g[floor], final[floor] = _phase_polish(g[floor])
@@ -350,10 +348,8 @@ def _phase_polish(u):
     r = np.abs(u)
     best_phi, best_dev = np.angle(u), _unitarity_deviation(u)
     i, j = np.triu_indices(n, 1)
-    pairs = np.arange(i.size)[:, None]
-    # flat index of phi[k, j] and phi[k, i] in row (i, j) of the Jacobian;
-    # i != j, so the two never collide
-    col_j, col_i = np.arange(n) * n + j[:, None], np.arange(n) * n + i[:, None]
+    eye = np.eye(n)
+    d = eye[j] - eye[i]  # pair p = (i, j) reads the phases phi[k, j] - phi[k, i]
     live = np.flatnonzero(best_dev > _SEARCH_TOL)
     rl, pl = r[live], best_phi[live]
     for _ in range(_POLISH_STEPS):
@@ -364,9 +360,8 @@ def _phase_polish(u):
         rt, pt = np.swapaxes(rl, 1, 2), np.swapaxes(pl, 1, 2)
         t = rt[:, i] * rt[:, j] * np.exp(1j * (pt[:, j] - pt[:, i]))
         f = t.sum(axis=2)
-        jac = np.zeros((live.size, i.size, n * n), dtype=complex)
-        jac[:, pairs, col_j] += 1j * t
-        jac[:, pairs, col_i] -= 1j * t
+        # df[b, p] / dphi[k, c] = 1j t[b, p, k] d[p, c]
+        jac = (1j * t[..., None] * d[:, None, :]).reshape(live.size, i.size, n * n)
         system = np.concatenate([jac.real, jac.imag], axis=1)
         rhs = -np.concatenate([f.real, f.imag], axis=1)
         step = np.stack(
@@ -389,7 +384,10 @@ def unitary_phase_search(
 
     ``targets`` may be a single (n, n) matrix or a batch (..., n, n) of
     finite entries.  Success means that an iterate carrying the target
-    moduli is unitary to _SEARCH_ACCEPT (1e-9).
+    moduli is unitary to _SEARCH_ACCEPT (1e-9), read from the iterate a
+    start exits with.  With ``max_iter`` 0 no projection step runs: a start
+    that is already unitary wins, and one within _BASIN gets only the
+    Gauss-Newton polish.
 
     Unresolved targets go through a ladder of stages, one start per target
     in each: zero phases, then ``restarts`` random phase fields, then up to
@@ -431,17 +429,12 @@ def unitary_phase_search(
 
     basin = np.zeros(batch, dtype=bool)
     for stage in range(1 + restarts + _BASIN_RESTARTS):
-        todo = np.flatnonzero(~ok)
-        if stage > restarts:
-            todo = todo[basin[todo]]
+        todo = np.flatnonzero(~ok & (basin | (stage <= restarts)))
         if todo.size == 0:
             break  # every later stage runs a subset of these targets
         r = roots[todo]
-        if stage == 0:
-            g = r.astype(complex)
-        else:
-            g = r * np.exp(2j * np.pi * gen.random((todo.size, n, n)))
-        g, won, lowest = _project_iterate(g, r, max_iter)
+        turns = gen.random((todo.size, n, n)) if stage else 0.0
+        g, won, lowest = _project_iterate(r * np.exp(2j * np.pi * turns), r, max_iter)
         basin[todo] |= lowest <= _BASIN
         ok[todo[won]] = True
         out[todo[won]] = g[won]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OVERLAP_TOL, BasisPair, check_distribution
+from .hilbert import OVERLAP_TOL, BasisPair, check_distribution, check_hermitian
 
 # How far a weak value may exceed the spectral radius before it counts as
 # amplified: absorbs float noise in the eigenvalues.
@@ -240,7 +240,10 @@ def amplified_entries(table):
     """Mask of weak values lying outside the operator's spectral range.
 
     True where |wv[l, j]| exceeds max |eigenvalue|: the signature of weak
-    amplification, impossible for ordinary expectation values.
+    amplification, impossible for ordinary expectation values.  Raises
+    ValueError for a non-Hermitian operator, whose spectrum does not bound
+    its expectation values.
     """
+    check_hermitian(table.operator)
     bound = float(np.max(np.abs(np.linalg.eigvalsh(table.operator))))
     return np.abs(table.values) > bound + _AMPLIFIED_MARGIN

@@ -534,6 +534,36 @@ def test_floor_polish_and_basin_gate_realize_haar_born_targets():
         _assert_valid_realizations(cert.realizing_unitary[None], np.array([True]), mu[None])
 
 
+def test_search_exit_reads_the_returned_iterates():
+    # a start that is already unitary wins without a projection step
+    corner = permutation_corners(4)[5]
+    u, ok = unitary_phase_search(corner, max_iter=0)
+    assert ok and np.array_equal(u, corner)
+    # so does a start within the basin, through the floor polish
+    v = haar_unitary(4, np.random.default_rng(8))
+    start = v * np.exp(1e-4j * np.random.default_rng(9).standard_normal((4, 4)))
+    assert 1e-5 < _unitarity_deviation(start) < 1e-2
+    assert birkhoff._project_iterate(start[None], np.abs(v)[None], 0)[1][0]
+    # on a mixed batch, won and lowest agree with the iterates returned
+    rng = np.random.default_rng(17)
+    corners = np.stack(permutation_corners(4))
+    mixes = np.einsum("sm,mij->sij", rng.dirichlet(np.full(24, 0.15), size=8), corners)
+    born = np.stack([np.abs(haar_unitary(4, rng)) ** 2 for _ in range(8)])
+    r = np.sqrt(np.concatenate([corners[:4], mixes, born]))
+    for max_iter in (0, 12, 800):
+        for turns in (0.0, rng.random(r.shape)):
+            g, won, lowest = birkhoff._project_iterate(
+                r * np.exp(2j * np.pi * turns), r, max_iter
+            )
+            exit_dev = _unitarity_deviation(g)
+            assert np.array_equal(won, exit_dev <= _SEARCH_ACCEPT)
+            assert np.max(np.abs(np.abs(g) - r)) <= 1e-15
+            # a polish that misses returns its start rebuilt from moduli and
+            # phases, which moves the deviation by rounding only
+            assert np.all(lowest <= exit_dev + 1e-15)
+            assert won[:4].all() and not won.all()
+
+
 def _loop_phase_polish(u, steps=40, target=1e-12):
     # reference: the Jacobian built entry by entry in a Python double loop
     n = u.shape[0]

@@ -418,3 +418,14 @@ def test_amplified_entries_rotated_operator():
     sz = pauli_matrices()[2]
     none = amplified_entries(weak_value_table(sz, pair))
     assert not none.any()
+
+
+def test_amplified_entries_refuses_non_hermitian_operators():
+    # the nilpotent pair has spectrum {0} either way round, yet eigvalsh reads
+    # one triangle only and would bound the two differently
+    pair = rotated_pair(2, 0.8)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for op in (nilpotent, nilpotent.T):
+        table = weak_value_table(op, pair)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            amplified_entries(table)
