@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DET_TOL, _unitarity_deviation
+from .hilbert import DET_TOL, _unitarity_deviation, check_distribution
 
 # Classification thresholds.  DET_TOL (shared with reconstruct) flags a
 # matrix as degenerate (information-destroying); TRIANGLE_TOL absorbs float
@@ -93,19 +93,14 @@ class SearchFailed(RuntimeError):
 
 
 def permutation_corners(n):
-    """The n! permutation matrices, in lexicographic order of the permutation.
+    """The n! permutation matrices, in lexicographic order, as an (n!, n, n) array.
 
     For n = 3 this yields the conventional corner numbering P0..P5 with the
     identity first.  Row i of corner P carries its 1 in column perm[i].
     """
     if not 2 <= n <= 8:
         raise ValueError(f"corner enumeration supported for 2 <= n <= 8, got {n!r}")
-    corners = []
-    for perm in itertools.permutations(range(n)):
-        m = np.zeros((n, n))
-        m[np.arange(n), perm] = 1.0
-        corners.append(m)
-    return corners
+    return np.eye(n)[list(itertools.permutations(range(n)))]
 
 
 def is_bistochastic(mu):
@@ -132,20 +127,16 @@ def check_bistochastic(mu):
 def combine(coeffs, corners):
     """Convex combination sum_i coeffs[i] * corners[i].
 
-    ``coeffs`` must be barycentric: nonnegative and summing to one.
+    ``coeffs`` must be barycentric: a probability vector to BISTOCHASTIC_TOL.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = check_distribution(coeffs, tol=BISTOCHASTIC_TOL)
     corners = np.asarray(corners, dtype=float)
-    if coeffs.ndim != 1 or len(coeffs) != len(corners):
+    if len(coeffs) != len(corners):
         raise ValueError(
             f"need one coefficient per corner: {coeffs.shape} vs {len(corners)}"
         )
-    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(corners))):
-        raise ValueError("coefficients and corners must be finite")
-    if np.min(coeffs) < -BISTOCHASTIC_TOL:
-        raise ValueError("barycentric coefficients must be nonnegative")
-    if abs(float(np.sum(coeffs)) - 1.0) > BISTOCHASTIC_TOL:
-        raise ValueError("barycentric coefficients must sum to 1")
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("corners must be finite")
     return np.einsum("m,mij->ij", coeffs, corners)
 
 
@@ -324,7 +315,8 @@ def _project_iterate(g, r, max_iter):
     final = _unitarity_deviation(g)
     floor = (final > _SEARCH_ACCEPT) & (final <= _BASIN)
     if floor.any():
-        g[floor], final[floor] = _phase_polish(g[floor])
+        g[floor] = _phase_polish(g[floor])[0]
+        final[floor] = _unitarity_deviation(g[floor])
     return g, final <= _SEARCH_ACCEPT, np.minimum(lowest, final)
 
 
@@ -521,22 +513,33 @@ def is_unistochastic(mu):
 
 
 def degeneracy(mu):
-    """det(mu): zero on the surface where mixing destroys invertibility."""
-    return float(np.linalg.det(np.asarray(mu, dtype=float)))
+    """det(mu): zero on the surface where mixing destroys invertibility.
+
+    Raises ValueError for a non-finite determinant, overflow included.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            det = float(np.linalg.det(np.asarray(mu, dtype=float)))
+    except FloatingPointError as err:
+        raise ValueError(f"matrix: {err}") from None
+    if not math.isfinite(det):
+        raise ValueError(f"matrix: determinant {det} is not finite")
+    return det
 
 
 def canonical_coefficients(mu):
     """Minimum-norm barycentric-style coefficients reproducing ``mu``.
 
-    Corner representations are not unique for n >= 3; the least-squares
-    minimum-norm solution over the permutation corners, in
-    :func:`permutation_corners` order, gives a canonical one for reporting.
+    Corner representations are not unique for n >= 3; the minimum-norm one,
+    in :func:`permutation_corners` order, is canonical for reporting.  For
+    doubly stochastic ``mu`` it is c_P = <P, mu> / (n (n-2)!) - (n-2) / n!,
+    which reproduces ``mu`` from the row space of the corner coordinates.
+    Raises ValueError unless ``mu`` is doubly stochastic.
     """
-    mu = np.asarray(mu, dtype=float)
-    corners = permutation_corners(mu.shape[0])
-    stack = np.stack([c.ravel() for c in corners], axis=1)
-    coeffs, *_ = np.linalg.lstsq(stack, mu.ravel(), rcond=None)
-    return coeffs
+    mu = check_bistochastic(mu)
+    n = mu.shape[0]
+    overlaps = np.einsum("mij,ij->m", permutation_corners(n), mu)
+    return overlaps / (n * math.factorial(n - 2)) - (n - 2) / math.factorial(n)
 
 
 def simplex_grid(num_corners, resolution):
@@ -597,12 +600,14 @@ class SurfaceScan:
 
 def _corner_stack(corner_indices):
     corners = permutation_corners(3)
-    idx = tuple(int(i) for i in corner_indices)
+    idx = tuple(corner_indices)
+    if not all(isinstance(i, numbers.Integral) for i in idx):
+        raise ValueError(f"corner indices must be integers, got {idx!r}")
     if len(set(idx)) != len(idx):
         raise ValueError("corner indices must be distinct")
     if not all(0 <= i < len(corners) for i in idx):
         raise ValueError(f"corner indices must lie in [0, {len(corners)})")
-    return idx, np.stack([corners[i] for i in idx])
+    return tuple(map(int, idx)), corners[list(idx)]
 
 
 def sample_degenerate_surface(corner_subset, resolution):

@@ -177,12 +177,11 @@ def expand(table):
     """Reassemble the operator from its weak values: sum wv * W * mu.
 
     Algebraically exact; numerically the residual stays at machine precision
-    even for nearly orthogonal pairs because the overlap divides out.
+    even for nearly orthogonal pairs because nothing is divided: the weight
+    mu / conj(g) of each term is the overlap g itself.
     """
     pair = table.pair
-    g = pair.overlaps()
-    mu = np.abs(g) ** 2
-    coeff = table.values * mu / g.conj()
+    coeff = table.values * pair.overlaps()
     return pair.post @ coeff @ pair.pre.conj().T
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_corner_order_is_lexicographic():
         assert np.array_equal(mat, expected)
 
 
+def _loop_corners(n):
+    # reference: one permutation matrix at a time
+    mats = []
+    for perm in itertools.permutations(range(n)):
+        m = np.zeros((n, n))
+        m[np.arange(n), perm] = 1.0
+        mats.append(m)
+    return np.stack(mats)
+
+
+def test_corners_are_one_array_matching_loop_reference():
+    for n in range(2, 7):
+        corners = permutation_corners(n)
+        assert isinstance(corners, np.ndarray) and corners.dtype == float
+        assert corners.shape == (math.factorial(n), n, n)
+        assert np.array_equal(corners, _loop_corners(n))
+
+
 def test_two_by_two_edge_length():
     a, b = permutation_corners(2)
     assert distance(a, b) == pytest.approx(2.0, abs=1e-15)
@@ -124,6 +143,22 @@ def test_combine_validates_weights():
             combine([bad, 1.0, 0, 0, 0, 0], corners)
 
 
+def test_combine_checks_weights_as_a_distribution():
+    corners = permutation_corners(3)
+    for weights, reason in (
+        ([0.7, 0.7, 0, 0, 0, 0], "must sum to 1, got 1.4"),
+        ([-0.5, 1.5, 0, 0, 0, 0], "nonnegative"),
+        ([np.nan, 1.0, 0, 0, 0, 0], "finite"),
+        ([np.inf, 1.0, 0, 0, 0, 0], "finite"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            combine(weights, corners)
+    with pytest.raises(ValueError, match="one coefficient per corner"):
+        combine([1.0], corners)
+    with pytest.raises(ValueError, match="corners must be finite"):
+        combine([1.0, 0.0], [np.eye(2), np.full((2, 2), np.inf)])
+
+
 def test_random_combinations_are_bistochastic(rng):
     for n in (2, 3, 4):
         for _ in range(20):
@@ -150,6 +185,26 @@ def test_canonical_coefficients_reproduce(rng):
 
 # ---------------------------------------------------------------------------
 # unistochasticity
+
+
+def _lstsq_coefficients(mu):
+    # reference: the generic minimum-norm least-squares solve over the corners
+    corners = permutation_corners(mu.shape[0])
+    stack = corners.reshape(len(corners), -1).T
+    return np.linalg.lstsq(stack, mu.ravel(), rcond=None)[0]
+
+
+def test_canonical_coefficients_are_the_exact_minimum_norm_weights(rng):
+    for n in range(2, 7):
+        corners = permutation_corners(n)
+        for _ in range(3):
+            mat = random_bistochastic(n, rng)
+            coeffs = canonical_coefficients(mat)
+            assert np.max(np.abs(coeffs - _lstsq_coefficients(mat))) <= 1e-12
+            back = np.einsum("m,mij->ij", coeffs, corners)
+            assert np.max(np.abs(back - mat)) <= 1e-12
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        canonical_coefficients(np.ones((3, 3)))
 
 
 def test_chain_links_column_pair_is_immaterial(rng):
@@ -597,6 +652,23 @@ def _loop_phase_polish(u, steps=40, target=1e-12):
     return r * np.exp(1j * best_phi), best_dev
 
 
+def test_search_exit_lowest_is_at_most_the_returned_deviation():
+    # the mixed batch of test_search_exit_reads_the_returned_iterates, drawn in
+    # the same order: a floor polish that misses reports the deviation of the
+    # iterate it returns, so no slack is needed
+    rng = np.random.default_rng(17)
+    corners = permutation_corners(4)
+    mixes = np.einsum("sm,mij->sij", rng.dirichlet(np.full(24, 0.15), size=8), corners)
+    born = np.stack([np.abs(haar_unitary(4, rng)) ** 2 for _ in range(8)])
+    r = np.sqrt(np.concatenate([corners[:4], mixes, born]))
+    for max_iter in (0, 12, 800):
+        for turns in (0.0, rng.random(r.shape)):
+            g, won, lowest = birkhoff._project_iterate(
+                r * np.exp(2j * np.pi * turns), r, max_iter
+            )
+            assert np.all(lowest <= _unitarity_deviation(g))
+
+
 def test_phase_polish_matches_loop_reference(rng):
     for n in (3, 4):
         corners = np.stack(permutation_corners(n))
@@ -827,6 +899,21 @@ def test_degeneracy_values():
     assert abs(degeneracy(mu)) < 1e-14
 
 
+def test_degeneracy_refuses_a_non_finite_determinant():
+    big = np.array(
+        [[1e200, -1e200, 1e200], [-1e200, 1e200, 1e200], [1e200, 1e200, -1e200]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mat, reason in (
+            (np.full((3, 3), np.nan), "invalid value"),
+            (big, "overflow"),
+            (np.diag([np.inf, 1.0]), "not finite"),
+        ):
+            with pytest.raises(ValueError, match="matrix: .*" + reason):
+                degeneracy(mat)
+
+
 def test_resolution_and_corner_validation():
     with pytest.raises(ValueError):
         sample_degenerate_surface((0, 1), 1)
@@ -840,3 +927,14 @@ def test_resolution_and_corner_validation():
         hypocycloid_boundary(2)
     with pytest.raises(ValueError):
         hypocycloid_boundary(16, corners=(0, 1, 2, 3))
+
+
+def test_corner_indices_must_be_integers():
+    for bad in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="integers"):
+            sample_degenerate_surface((bad, 1, 2), 4)
+        with pytest.raises(ValueError, match="integers"):
+            hypocycloid_boundary(8, corners=(bad, 1, 2))
+    scan = sample_degenerate_surface((np.int64(3), 1, 2), 4)
+    assert scan.corner_indices == (3, 1, 2)
+    assert all(type(i) is int for i in scan.corner_indices)
