@@ -542,20 +542,33 @@ def canonical_coefficients(mu):
     return overlaps / (n * math.factorial(n - 2)) - (n - 2) / math.factorial(n)
 
 
+# The largest grid simplex_grid builds: a triangle at resolution 512.
+_MAX_GRID_POINTS = math.comb(514, 2)
+
+
+def _is_integer(value):
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def simplex_grid(num_corners, resolution):
     """All barycentric grid points with coordinates k/resolution, k integer.
 
     Returns an array of shape (count, num_corners); count grows as
-    C(resolution + m - 1, m - 1) for m corners.
+    C(resolution + m - 1, m - 1) for m corners.  Both arguments must be
+    integers (a bool is not one) of at least 1, and count at most
+    _MAX_GRID_POINTS = C(514, 2) = 131,841, a triangle at resolution 512;
+    anything else raises ValueError before the grid is allocated.
     """
-    if num_corners < 1:
-        raise ValueError("need at least one corner")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
+    for name, value in (("num_corners", num_corners), ("resolution", resolution)):
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     # Stars and bars: num_corners - 1 cut positions among the edges slots
     # split the resolution units; each gap between cuts is one coordinate.
     edges = resolution + num_corners - 1
     shape = (math.comb(edges, num_corners - 1), num_corners - 1)
+    if shape[0] > _MAX_GRID_POINTS:
+        raise ValueError(f"{shape[0]} grid points exceed the limit of {_MAX_GRID_POINTS}")
     cuts = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(edges), shape[1])),
         dtype=np.intp,
@@ -601,7 +614,7 @@ class SurfaceScan:
 def _corner_stack(corner_indices):
     corners = permutation_corners(3)
     idx = tuple(corner_indices)
-    if not all(isinstance(i, numbers.Integral) for i in idx):
+    if not all(map(_is_integer, idx)):
         raise ValueError(f"corner indices must be integers, got {idx!r}")
     if len(set(idx)) != len(idx):
         raise ValueError("corner indices must be distinct")
@@ -621,7 +634,7 @@ def sample_degenerate_surface(corner_subset, resolution):
     if len(idx) > 4:
         raise ValueError("patches above a tetrahedron (4 corners) are not supported")
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise ValueError(f"resolution must be at least 2, got {resolution!r}")
     coeffs = simplex_grid(len(idx), resolution)
     mats = np.einsum("pm,mij->pij", coeffs, stack)
     dets = np.linalg.det(mats)
@@ -647,7 +660,7 @@ def hypocycloid_boundary(resolution, corners=(0, 3, 4)):
     two grid spacings.  Returns the barycentric coefficients, in grid order.
     """
     if resolution < 3:
-        raise ValueError("resolution must be at least 3")
+        raise ValueError(f"resolution must be at least 3, got {resolution!r}")
     idx, stack = _corner_stack(corners)
     if len(idx) != 3:
         raise ValueError("the boundary locus is sampled on a three-corner plane")

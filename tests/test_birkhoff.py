@@ -930,7 +930,7 @@ def test_resolution_and_corner_validation():
 
 
 def test_corner_indices_must_be_integers():
-    for bad in (0.5, np.nan, np.inf):
+    for bad in (0.5, np.nan, np.inf, True):
         with pytest.raises(ValueError, match="integers"):
             sample_degenerate_surface((bad, 1, 2), 4)
         with pytest.raises(ValueError, match="integers"):
@@ -938,3 +938,22 @@ def test_corner_indices_must_be_integers():
     scan = sample_degenerate_surface((np.int64(3), 1, 2), 4)
     assert scan.corner_indices == (3, 1, 2)
     assert all(type(i) is int for i in scan.corner_indices)
+
+
+def test_grids_refuse_non_integer_and_oversized_resolutions():
+    """The grid gate lives in simplex_grid, so every sampler refuses the same way."""
+    for bad in (4.5, 8.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            simplex_grid(3, bad)
+        with pytest.raises(ValueError, match="integer"):
+            sample_degenerate_surface((0, 1, 2), bad)
+        with pytest.raises(ValueError, match="integer"):
+            hypocycloid_boundary(bad)
+    for args in ((3, True), (True, 4)):
+        with pytest.raises(ValueError, match="integer"):
+            simplex_grid(*args)
+    with pytest.raises(ValueError, match="131841"):
+        sample_degenerate_surface((0, 1, 2, 3), 91)  # 134,044 points
+    with pytest.raises(ValueError, match="131841"):
+        hypocycloid_boundary(513)
+    assert simplex_grid(3, 512).shape == (131841, 3)  # the cap is inclusive

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from weakvalues import cli, hilbert, weakval
+from weakvalues import birkhoff, cli, hilbert, weakval
 
 
 def invoke(argv, capsys):
@@ -113,6 +113,7 @@ def test_singular_exit_code(capsys):
         ["reconstruct", "0.6,0.6", "--theta", "0.4"],  # tau is not a distribution
         ["reconstruct", "0.5,0.5"],  # --theta is required
         ["reconstruct", "0.5,0.5", "--theta", "0.4", "--dim", "3"],
+        ["reconstruct", "0.5,0.5", "--theta", "0.4", "--dim", "2"],  # no such option
         ["reconstruct", "0.25,0.25,0.25,0.25", "--theta", "0.4"],
         ["birkhoff", "classify"],  # neither input route
         ["birkhoff", "classify", "--coeffs", "0.5,0.5", "--file", "x.json"],
@@ -175,12 +176,49 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
 
 def test_check_sums_covers_the_whole_stack():
     stack = np.stack([np.eye(3), np.full((3, 3), 1 / 3), np.eye(3)[::-1]])
-    cli._check_sums(stack)
+    cli._check_sums(stack, birkhoff.BISTOCHASTIC_TOL)
     for bad in (0.5, np.nan):
         broken = stack.copy()
         broken[2, 1, 1] = bad
         with pytest.raises(RuntimeError):
-            cli._check_sums(broken)
+            cli._check_sums(broken, birkhoff.BISTOCHASTIC_TOL)
+
+
+def test_self_check_accepts_what_the_library_accepts(tmp_path, capsys, monkeypatch):
+    """weak-table's self-check holds large operators and bases within NORM_TOL."""
+
+    def cells(matrix):
+        return [[{"re": v.real, "im": v.imag} for v in row] for row in matrix.tolist()]
+
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    big = tmp_path / "big.json"  # entries of about 1e6
+    big.write_text(json.dumps(cells((z + z.conj().T) * 5e5)))
+    dft = tmp_path / "dft.json"
+    fourier = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2
+    dft.write_text(json.dumps({"pre": cells(np.eye(4)), "post": cells(fourier)}))
+    near = tmp_path / "near.json"  # orthonormal to 6e-11, inside NORM_TOL
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    near.write_text(
+        json.dumps({"pre": cells(np.eye(2) * (1 + 3e-11)), "post": cells(hadamard)})
+    )
+    probes = (
+        ["weak-table", f"file:{big}", f"file:{dft}"],
+        ["weak-table", "sigma_x", f"file:{near}"],
+    )
+    for argv in probes:
+        code, out, err = invoke(argv, capsys)
+        assert (code, err) == (0, "") and json.loads(out)["command"] == "weak-table"
+
+    expand = weakval.expand
+
+    def off(table):
+        return expand(table) + 1e-6 * np.max(np.abs(table.operator))
+
+    monkeypatch.setattr(weakval, "expand", off)
+    for argv in probes:
+        with pytest.raises(RuntimeError, match="expansion residual"):
+            cli.main(argv)
 
 
 def test_help_exits_clean(capsys):
