@@ -92,6 +92,11 @@ class SearchFailed(RuntimeError):
     """The numerical phase search did not converge within its budget."""
 
 
+def _is_integer(value):
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def permutation_corners(n):
     """The n! permutation matrices, in lexicographic order, as an (n!, n, n) array.
 
@@ -409,7 +414,7 @@ def unitary_phase_search(
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
     for name, value in (("max_iter", max_iter), ("restarts", restarts)):
-        if not isinstance(value, numbers.Integral) or value < 0:
+        if not (_is_integer(value) and value >= 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     single = targets.ndim == 2
     mus = targets.reshape((-1,) + targets.shape[-2:])
@@ -546,29 +551,31 @@ def canonical_coefficients(mu):
 _MAX_GRID_POINTS = math.comb(514, 2)
 
 
-def _is_integer(value):
-    """An integer, numpy's included; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def simplex_grid(num_corners, resolution):
     """All barycentric grid points with coordinates k/resolution, k integer.
 
     Returns an array of shape (count, num_corners); count grows as
     C(resolution + m - 1, m - 1) for m corners.  Both arguments must be
-    integers (a bool is not one) of at least 1, and count at most
-    _MAX_GRID_POINTS = C(514, 2) = 131,841, a triangle at resolution 512;
-    anything else raises ValueError before the grid is allocated.
+    integers (a bool is not one) from 1 to _MAX_GRID_POINTS = 131,841, and
+    the grid at most that many points and 4 * 131,841 coordinates, those of
+    a tetrahedron grid of as many points; anything else raises ValueError
+    before the grid is allocated.
     """
+    top = _MAX_GRID_POINTS
     for name, value in (("num_corners", num_corners), ("resolution", resolution)):
-        if not (_is_integer(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (_is_integer(value) and 1 <= value <= top):
+            raise ValueError(f"{name} must be an integer in [1, {top}], got {value!r}")
     # Stars and bars: num_corners - 1 cut positions among the edges slots
     # split the resolution units; each gap between cuts is one coordinate.
+    # The count C(edges, k), k the smaller part, is built term by term; the
+    # partial counts C(edges - k + i, i) >= C(2i, i) pass the limit by i = 10.
     edges = resolution + num_corners - 1
-    shape = (math.comb(edges, num_corners - 1), num_corners - 1)
-    if shape[0] > _MAX_GRID_POINTS:
-        raise ValueError(f"{shape[0]} grid points exceed the limit of {_MAX_GRID_POINTS}")
+    small, count = min(resolution, num_corners - 1), 1
+    for i in range(1, small + 1):
+        count = count * (edges - small + i) // i
+        if count > top or count * num_corners > 4 * top:
+            raise ValueError(f"the grid exceeds {top} points or {4 * top} coordinates")
+    shape = (count, num_corners - 1)
     cuts = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(edges), shape[1])),
         dtype=np.intp,

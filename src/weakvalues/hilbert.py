@@ -252,4 +252,5 @@ def exclusive_pair():
 
 def rotated_pair(dim, theta):
     """Standard pre basis against the rotated eigenbasis as post basis."""
-    return BasisPair(standard_basis(dim), rotated_basis(dim, theta))
+    post = rotated_basis(dim, theta)  # refuses a dim other than 2 or 3 before allocating
+    return BasisPair(standard_basis(dim), post)

@@ -744,6 +744,7 @@ def test_phase_search_refuses_bad_targets_and_budgets(monkeypatch):
         (dict(max_iter=-5), "max_iter", "-5"),
         (dict(restarts=-3), "restarts", "-3"),
         (dict(max_iter=2.5), "max_iter", "2.5"),
+        (dict(max_iter=True), "max_iter", "True"),
     ):
         message = f"{name} must be a nonnegative integer, got {value}"
         with pytest.raises(ValueError, match=message):
@@ -768,10 +769,24 @@ def test_simplex_grid_shape_and_order():
     assert grid.min() >= 0
     again = simplex_grid(3, 4)
     assert np.array_equal(grid, again)
-    with pytest.raises(ValueError):
-        simplex_grid(0, 4)
-    with pytest.raises(ValueError):
-        simplex_grid(3, 0)
+    for args in (
+        (0, 4),
+        (3, 0),
+        (3, 4.5),
+        (3, 8.0),
+        (3, math.inf),
+        (3, math.nan),
+        (3, True),
+        (True, 4),
+        (1, 131842),  # beyond the limit, though its one point is (1.0,)
+        (3, 513),  # 132,355 points
+        (131841, 1),  # 131,841 points of 131,841 coordinates each
+        (10**6, 10**6),  # beyond the argument range
+        (131841, 131841),  # its count is refused within ten terms
+    ):
+        with pytest.raises(ValueError):
+            simplex_grid(*args)
+    assert simplex_grid(3, 512).shape == (131841, 3)  # the cap is inclusive
 
 
 def _loop_simplex_grid(num_corners, resolution):
@@ -927,6 +942,15 @@ def test_resolution_and_corner_validation():
         hypocycloid_boundary(2)
     with pytest.raises(ValueError):
         hypocycloid_boundary(16, corners=(0, 1, 2, 3))
+    for bad in (4.5, 8.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            sample_degenerate_surface((0, 1, 2), bad)
+        with pytest.raises(ValueError, match="integer"):
+            hypocycloid_boundary(bad)
+    with pytest.raises(ValueError, match="131841"):
+        sample_degenerate_surface((0, 1, 2, 3), 91)  # 134,044 points
+    with pytest.raises(ValueError, match="131841"):
+        hypocycloid_boundary(513)
 
 
 def test_corner_indices_must_be_integers():
@@ -938,22 +962,3 @@ def test_corner_indices_must_be_integers():
     scan = sample_degenerate_surface((np.int64(3), 1, 2), 4)
     assert scan.corner_indices == (3, 1, 2)
     assert all(type(i) is int for i in scan.corner_indices)
-
-
-def test_grids_refuse_non_integer_and_oversized_resolutions():
-    """The grid gate lives in simplex_grid, so every sampler refuses the same way."""
-    for bad in (4.5, 8.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="integer"):
-            simplex_grid(3, bad)
-        with pytest.raises(ValueError, match="integer"):
-            sample_degenerate_surface((0, 1, 2), bad)
-        with pytest.raises(ValueError, match="integer"):
-            hypocycloid_boundary(bad)
-    for args in ((3, True), (True, 4)):
-        with pytest.raises(ValueError, match="integer"):
-            simplex_grid(*args)
-    with pytest.raises(ValueError, match="131841"):
-        sample_degenerate_surface((0, 1, 2, 3), 91)  # 134,044 points
-    with pytest.raises(ValueError, match="131841"):
-        hypocycloid_boundary(513)
-    assert simplex_grid(3, 512).shape == (131841, 3)  # the cap is inclusive

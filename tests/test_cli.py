@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,7 @@ def test_singular_exit_code(capsys):
         ["reconstruct", "0.5,0.5", "--theta", "0.4", "--dim", "3"],
         ["reconstruct", "0.5,0.5", "--theta", "0.4", "--dim", "2"],  # no such option
         ["reconstruct", "0.25,0.25,0.25,0.25", "--theta", "0.4"],
+        ["reconstruct", ",".join(["0"] * 20000), "--theta", "0.4"],  # refused before allocating
         ["birkhoff", "classify"],  # neither input route
         ["birkhoff", "classify", "--coeffs", "0.5,0.5", "--file", "x.json"],
         ["birkhoff", "classify", "--coeffs", "0.2,0.2,0.2,0.2,0.2"],
@@ -133,10 +135,16 @@ def test_singular_exit_code(capsys):
     ],
 )
 def test_usage_errors_exit_four(argv, capsys):
-    code, out, err = invoke(argv, capsys)
+    tracemalloc.start()  # numpy reports its array buffers here too
+    try:
+        code, out, err = invoke(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 4
     assert out == ""
     assert err != ""
+    assert peak < 16 * 2**20  # refused before anything sized by the input
 
 
 def test_non_finite_files_exit_four(tmp_path, capsys):
