@@ -73,9 +73,56 @@ def _fmt(x):
     return format(x, ".17g")
 
 
+# The text of one array entry by dtype kind; "%.17g" % x is format(x, ".17g").
+_CELLS = {"i": "%d", "f": "%.17g", "c": '{"re": %.17g, "im": %.17g}'}
+
+
 def _plain(value):
-    """numpy arrays and scalars as Python lists and scalars (converted in C)."""
-    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    """numpy values as Python lists and scalars (converted in C), except the
+    nonempty numeric arrays, which the renderer formats as arrays."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        if value.ndim and value.size and value.dtype.kind in _CELLS:
+            return value
+        return value.tolist()
+    return value
+
+
+def _components(a):
+    """An array's real components in C order as Python scalars, re and im
+    interleaved.  One finiteness gate per array: the first non-finite
+    component raises _fmt's ValueError."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    values = a.ravel().tolist()
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        _fmt(next(x for x in values if not math.isfinite(x)))
+    return values
+
+
+def _dumps_array(a, indent):
+    # one template per innermost row, then the rows joined axis by axis
+    values = _components(a)
+    step = len(values) // a.size * a.shape[-1]  # components per innermost row
+    row = "[" + ", ".join([_CELLS[a.dtype.kind]] * a.shape[-1]) + "]"
+    items = [row % tuple(values[k : k + step]) for k in range(0, len(values), step)]
+    for axis in range(a.ndim - 2, -1, -1):
+        pad = "  " * (indent + axis)
+        sep, size = ",\n  " + pad, a.shape[axis]
+        items = [
+            "[\n  " + pad + sep.join(items[k : k + size]) + "\n" + pad + "]"
+            for k in range(0, len(items), size)
+        ]
+    return items[0]
+
+
+def _flatten_array(a, key, rows):
+    keys = [key]
+    for size in a.shape:
+        keys = [f"{k}/{i}" if k else str(i) for k in keys for i in range(size)]
+    if a.dtype.kind == "c":
+        keys = [k + part for k in keys for part in ("_re", "_im")]
+    cell = "%d" if a.dtype.kind == "i" else "%.17g"
+    rows.extend(zip(keys, map(cell.__mod__, _components(a))))
 
 
 def _scalar(value, null):
@@ -93,6 +140,8 @@ def _scalar(value, null):
 
 def _dumps(value, indent=0):
     value = _plain(value)
+    if isinstance(value, np.ndarray):
+        return _dumps_array(value, indent)
     if isinstance(value, complex):
         return '{"re": %s, "im": %s}' % (_fmt(value.real), _fmt(value.imag))
     if isinstance(value, str):
@@ -109,7 +158,7 @@ def _dumps(value, indent=0):
         if not value:
             return "[]"
         value = [_plain(v) for v in value]
-        if not any(isinstance(v, (list, tuple, dict)) for v in value):
+        if not any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in value):
             return "[" + ", ".join(_dumps(v) for v in value) + "]"
         body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
@@ -118,7 +167,9 @@ def _dumps(value, indent=0):
 
 def _flatten(value, key, rows):
     value = _plain(value)
-    if isinstance(value, complex):
+    if isinstance(value, np.ndarray):
+        _flatten_array(value, key, rows)
+    elif isinstance(value, complex):
         rows.append((f"{key}_re", _fmt(value.real)))
         rows.append((f"{key}_im", _fmt(value.imag)))
     elif isinstance(value, dict):

@@ -182,6 +182,36 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 1.0], [np.nan, 2.0]]),
+        np.array([[1j, 2.0], [complex(np.inf, 0.5), 0.0]]),
+        np.array([1j, complex(0.5, np.nan), 0.0]),
+    ],
+)
+def test_non_finite_arrays_exit_four(bad, tmp_path, capsys, monkeypatch):
+    """Each array passes one finiteness gate: NaN or inf anywhere exits 4, writing nothing."""
+
+    def handler(args):
+        return {"command": "birkhoff-corners", "n": args.n, "distances": bad}
+
+    monkeypatch.setattr(cli, "_cmd_birkhoff_corners", handler)
+    cli._build_parser.cache_clear()  # the parser binds its handlers once
+    try:
+        for fmt in ("json", "csv"):
+            out_path = tmp_path / f"doc.{fmt}"
+            argv = ["birkhoff", "corners", "--format", fmt]
+            for extra in ([], ["--out", str(out_path)]):
+                code, out, err = invoke(argv + extra, capsys)
+                assert (code, out) == (4, "")
+                assert err.startswith("error: refusing to write the non-finite number")
+                assert not out_path.exists()
+    finally:
+        monkeypatch.undo()
+        cli._build_parser.cache_clear()
+
+
 def test_check_sums_covers_the_whole_stack():
     stack = np.stack([np.eye(3), np.full((3, 3), 1 / 3), np.eye(3)[::-1]])
     cli._check_sums(stack, birkhoff.BISTOCHASTIC_TOL)
@@ -670,3 +700,23 @@ def test_render_matches_reference(tmp_path):
         document = args.handler(args)
         for fmt in ("json", "csv"):
             assert cli._render(document, fmt) == _ref_render(document, fmt), (argv, fmt)
+
+
+def test_render_arrays_match_reference_on_every_shape():
+    """Arrays of every rank and kind, empty ones and numpy scalars included."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    document = {
+        "vector": rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4),
+        "complex": z,
+        "ints": np.arange(-3, 9).reshape(2, 2, 3),
+        "unsigned": np.arange(3, dtype=np.uint8),
+        "bools": np.array([[True, False]]),
+        "empty": np.zeros(0),
+        "empty_rows": np.zeros((2, 0), dtype=complex),
+        "scalar": np.float64(-0.0),
+        "nested": [np.eye(2), {"inner": z[0, 0]}, np.array([1j])],
+        "single": np.array([[[7.0]]]),
+    }
+    for fmt in ("json", "csv"):
+        assert cli._render(document, fmt) == _ref_render(document, fmt), fmt
