@@ -9,6 +9,7 @@ overlap of interest is always <phi_l|psi_j>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -88,10 +89,18 @@ def check_distribution(p, tol=NORM_TOL):
     return p
 
 
+@lru_cache(maxsize=16)  # read-only, so one copy serves every caller
+def _identity(n):
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _unitarity_deviation(u):
     """max |U^dagger U - 1| over the last two axes; batched over any leading ones."""
     gram = np.conj(np.swapaxes(u, -1, -2)) @ u
-    return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1))
+    gram -= _identity(u.shape[-1])
+    return np.max(np.abs(gram), axis=(-2, -1))
 
 
 def _check_orthonormal(mat, name):
