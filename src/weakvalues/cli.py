@@ -115,14 +115,14 @@ def _dumps_array(a, indent):
     return items[0]
 
 
-def _flatten_array(a, key, rows):
+def _flatten_array(a, key):
     keys = [key]
     for size in a.shape:
         keys = [f"{k}/{i}" if k else str(i) for k in keys for i in range(size)]
     if a.dtype.kind == "c":
         keys = [k + part for k in keys for part in ("_re", "_im")]
     cell = "%d" if a.dtype.kind == "i" else "%.17g"
-    rows.extend(zip(keys, map(cell.__mod__, _components(a))))
+    return zip(keys, map(cell.__mod__, _components(a)))
 
 
 def _scalar(value, null):
@@ -165,30 +165,30 @@ def _dumps(value, indent=0):
     return _scalar(value, "null")
 
 
-def _flatten(value, key, rows):
+def _flatten(value, key):
     value = _plain(value)
     if isinstance(value, np.ndarray):
-        _flatten_array(value, key, rows)
+        yield from _flatten_array(value, key)
     elif isinstance(value, complex):
-        rows.append((f"{key}_re", _fmt(value.real)))
-        rows.append((f"{key}_im", _fmt(value.imag)))
+        yield f"{key}_re", _fmt(value.real)
+        yield f"{key}_im", _fmt(value.imag)
     elif isinstance(value, dict):
         for k, v in value.items():
-            _flatten(v, f"{key}/{k}" if key else k, rows)
+            yield from _flatten(v, f"{key}/{k}" if key else k)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            _flatten(v, f"{key}/{i}" if key else str(i), rows)
+            yield from _flatten(v, f"{key}/{i}" if key else str(i))
     else:
-        rows.append((key, _scalar(value, "")))
+        yield key, _scalar(value, "")
 
 
 def _render(document, fmt):
     if fmt == "json":
         return _dumps(document) + "\n"
-    rows = [("key", "value")]
-    _flatten(document, "", rows)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    buf = io.StringIO()  # rows stream into the writer: no list of them is built
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("key", "value"))
+    writer.writerows(_flatten(document, ""))
     return buf.getvalue()
 
 

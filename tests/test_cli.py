@@ -188,6 +188,7 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         np.array([[0.5, 1.0], [np.nan, 2.0]]),
         np.array([[1j, 2.0], [complex(np.inf, 0.5), 0.0]]),
         np.array([1j, complex(0.5, np.nan), 0.0]),
+        [0.5] * 10_000 + [float("nan")],  # reached after 10,000 rows have streamed
     ],
 )
 def test_non_finite_arrays_exit_four(bad, tmp_path, capsys, monkeypatch):
@@ -343,6 +344,25 @@ def test_csv_determinism(tmp_path):
     assert cli.main(argv + ["--out", str(a)]) == 0
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_csv_render_streams_its_rows():
+    """A CSV render holds little beyond its text: no list of every row is built.
+
+    4,753 points give 1.06 MB of text; a render that first collects its
+    28,523 (key, value) rows peaks at about 8x the text beyond the document.
+    """
+    argv = ["birkhoff", "sample", "--corners", "0,1,2", "--resolution", "96"]
+    args = cli._build_parser().parse_args(argv + ["--format", "csv"])
+    document = args.handler(args)
+    tracemalloc.start()
+    try:
+        text = cli._render(document, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10**6
+    assert peak < 5 * len(text)
 
 
 def test_file_operator_and_basis(tmp_path, capsys):
