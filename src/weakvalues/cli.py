@@ -533,6 +533,9 @@ def main(argv=None):
         return EXIT_OK if not err.code else EXIT_INPUT
     try:
         text = _render(args.handler(args), args.format)
+        if args.out:  # an --out that cannot be opened is bad input too
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except weakval.OverlapTooSmall as err:
         print(f"error at indices (l={err.l}, j={err.j}): {err}", file=sys.stderr)
         return EXIT_OVERLAP
@@ -542,10 +545,7 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_OK
 

@@ -132,6 +132,7 @@ def test_singular_exit_code(capsys):
         ["birkhoff", "sample", "--corners", "0,1,2,3", "--resolution", "91"],  # 134,044 points
         ["weak-table", "sigma_theta", "exclusive2", "--theta", "nan"],
         ["weak-table", "sigma_x", "exclusive2", "--theta", "nan"],  # NaN only in the document
+        ["birkhoff", "corners", "--n", "3", "--out", "/nonexistent/dir/doc.json"],
     ],
 )
 def test_usage_errors_exit_four(argv, capsys):
