@@ -166,20 +166,19 @@ def _dumps(value, indent=0):
 
 
 def _flatten(value, key):
-    value = _plain(value)
-    if isinstance(value, np.ndarray):
-        yield from _flatten_array(value, key)
-    elif isinstance(value, complex):
-        yield f"{key}_re", _fmt(value.real)
-        yield f"{key}_im", _fmt(value.imag)
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            yield from _flatten(v, f"{key}/{k}" if key else k)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            yield from _flatten(v, f"{key}/{i}" if key else str(i))
-    else:
-        yield key, _scalar(value, "")
+    """The (key, text) rows under a dict or list, yielded one at a time."""
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+        k = f"{key}/{k}" if key else str(k)
+        v = _plain(v)
+        if isinstance(v, np.ndarray):
+            yield from _flatten_array(v, k)
+        elif isinstance(v, complex):
+            yield f"{k}_re", _fmt(v.real)
+            yield f"{k}_im", _fmt(v.imag)
+        elif isinstance(v, (dict, list, tuple)):
+            yield from _flatten(v, k)
+        else:  # a leaf is yielded here, without a generator of its own
+            yield k, _scalar(v, "")
 
 
 def _render(document, fmt):
