@@ -165,29 +165,29 @@ def _dumps(value, indent=0):
     return _scalar(value, "null")
 
 
-def _flatten(value, key):
-    """The (key, text) rows under a dict or list, yielded one at a time."""
+def _flatten(value, key, writer):
+    """Write the (key, text) rows under a dict or list into a csv writer as
+    they are made, so no list of every row is built."""
     for k, v in value.items() if isinstance(value, dict) else enumerate(value):
         k = f"{key}/{k}" if key else str(k)
         v = _plain(v)
         if isinstance(v, np.ndarray):
-            yield from _flatten_array(v, k)
+            writer.writerows(_flatten_array(v, k))
         elif isinstance(v, complex):
-            yield f"{k}_re", _fmt(v.real)
-            yield f"{k}_im", _fmt(v.imag)
+            writer.writerows(((f"{k}_re", _fmt(v.real)), (f"{k}_im", _fmt(v.imag))))
         elif isinstance(v, (dict, list, tuple)):
-            yield from _flatten(v, k)
-        else:  # a leaf is yielded here, without a generator of its own
-            yield k, _scalar(v, "")
+            _flatten(v, k, writer)
+        else:
+            writer.writerow((k, _scalar(v, "")))
 
 
 def _render(document, fmt):
     if fmt == "json":
         return _dumps(document) + "\n"
-    buf = io.StringIO()  # rows stream into the writer: no list of them is built
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("key", "value"))
-    writer.writerows(_flatten(document, ""))
+    _flatten(document, "", writer)
     return buf.getvalue()
 
 
