@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DET_TOL, _unitarity_deviation, check_distribution
+from .hilbert import BISTOCHASTIC_TOL, DET_TOL, _unitarity_deviation, check_distribution
 
-# Classification thresholds.  DET_TOL (shared with reconstruct) flags a
-# matrix as degenerate (information-destroying); TRIANGLE_TOL absorbs float
-# noise in the closure condition; BISTOCHASTIC_TOL validates row/column sums
-# of inputs.
-BISTOCHASTIC_TOL = 1e-12
+# Classification thresholds: DET_TOL and BISTOCHASTIC_TOL come from hilbert,
+# and TRIANGLE_TOL absorbs float noise in the closure condition.
 TRIANGLE_TOL = 1e-12
+# The largest n of permutation_corners, and of a matrix that classify takes.
+_MAX_CORNER_N = 8
 
 # Phase search: :func:`_project_iterate` runs one start per target, and
 # :func:`unitary_phase_search` the ladder of starts.  Deviations are from
@@ -103,9 +102,16 @@ def permutation_corners(n):
     For n = 3 this yields the conventional corner numbering P0..P5 with the
     identity first.  Row i of corner P carries its 1 in column perm[i].
     """
-    if not 2 <= n <= 8:
-        raise ValueError(f"corner enumeration supported for 2 <= n <= 8, got {n!r}")
+    if not 2 <= n <= _MAX_CORNER_N:
+        raise ValueError(
+            f"corner enumeration supported for 2 <= n <= {_MAX_CORNER_N}, got {n!r}"
+        )
     return np.eye(n)[list(itertools.permutations(range(n)))]
+
+
+def _sum_defect(mu):
+    """max |row or column sum - 1| of a matrix or a stack of them (last two axes)."""
+    return float(np.max(np.abs([mu.sum(axis=-1) - 1.0, mu.sum(axis=-2) - 1.0])))
 
 
 def is_bistochastic(mu):
@@ -114,11 +120,7 @@ def is_bistochastic(mu):
         return False
     if np.min(mu) < -BISTOCHASTIC_TOL:
         return False
-    ones = np.ones(mu.shape[0])
-    return bool(
-        np.max(np.abs(mu.sum(axis=0) - ones)) <= BISTOCHASTIC_TOL
-        and np.max(np.abs(mu.sum(axis=1) - ones)) <= BISTOCHASTIC_TOL
-    )
+    return _sum_defect(mu) <= BISTOCHASTIC_TOL
 
 
 def check_bistochastic(mu):

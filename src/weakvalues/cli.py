@@ -271,33 +271,32 @@ def _build_basis(name, theta):
     raise ValueError(f"unknown basis {name!r}; choose from {', '.join(BASIS_PRESETS)}")
 
 
+# The presets that are one fixed matrix each (read-only: every call shares
+# them), and the rotated families with their dimension.
+_FIXED_OPERATORS = {
+    **dict(zip(("sigma_x", "sigma_y", "sigma_z"), hilbert.pauli_matrices())),
+    **dict(zip(("L_x", "L_y", "L_z"), hilbert.spin_one_matrices())),
+    **{f"gellmann_{k}": g for k, g in enumerate(hilbert.gell_mann_matrices(), 1)},
+}
+for _op in _FIXED_OPERATORS.values():
+    _op.setflags(write=False)
+_ROTATED_OPERATORS = {"sigma_theta": 2, "L_theta": 3}
+
+
 def _build_operator(name, theta, dim):
-    if name in ("sigma_x", "sigma_y", "sigma_z"):
-        op = dict(zip(("sigma_x", "sigma_y", "sigma_z"), hilbert.pauli_matrices()))[name]
-    elif name in ("L_x", "L_y", "L_z"):
-        op = dict(zip(("L_x", "L_y", "L_z"), hilbert.spin_one_matrices()))[name]
-    elif name in ("sigma_theta", "L_theta"):
+    if name in _FIXED_OPERATORS:
+        return _FIXED_OPERATORS[name]
+    if name in _ROTATED_OPERATORS:
         if theta is None:
             raise ValueError(f"operator {name!r} requires --theta")
-        op = hilbert.rotated_operator(2 if name == "sigma_theta" else 3, theta)
-    elif name.startswith("gellmann_"):
-        try:
-            k = int(name[len("gellmann_") :])
-        except ValueError:
-            k = 0
-        if not 1 <= k <= 8:
-            raise ValueError("Gell-Mann operators are gellmann_1 .. gellmann_8")
-        op = hilbert.gell_mann_matrices()[k - 1]
-    elif name == "identity":
-        op = np.eye(dim, dtype=complex)
-    elif name.startswith("file:"):
-        op = _json_matrix(_load_json(name[5:]), "operator")
-        hilbert.check_hermitian(op)
-    else:
-        raise ValueError(
-            f"unknown operator {name!r}; choose from {', '.join(OPERATOR_PRESETS)}"
-        )
-    return op
+        return hilbert.rotated_operator(_ROTATED_OPERATORS[name], theta)
+    if name == "identity":
+        return np.eye(dim, dtype=complex)
+    if name.startswith("file:"):
+        return hilbert.check_hermitian(_json_matrix(_load_json(name[5:]), "operator"))
+    raise ValueError(
+        f"unknown operator {name!r}; choose from {', '.join(OPERATOR_PRESETS)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ def _check_sums(mu, tol):
     Emitted tables are re-checked against the module invariants before
     serialization; violations abort instead of publishing bad numbers.
     """
-    worst = float(np.max(np.abs([mu.sum(axis=-1) - 1.0, mu.sum(axis=-2) - 1.0])))
+    worst = birkhoff._sum_defect(mu)
     if not worst <= tol:
         raise RuntimeError(f"internal check failed: weight sums off by {worst:.3e}")
 
@@ -364,9 +363,6 @@ def _cmd_reconstruct(args):
 
 
 _FACTORIALS = {math.factorial(n): n for n in (2, 3, 4, 5)}
-# The largest matrix classify takes: the n <= 8 of permutation_corners.  The
-# n >= 4 search cost grows steeply with n, so larger files are refused.
-_MAX_CLASSIFY_N = 8
 
 
 def _classify_input(args):
@@ -385,9 +381,10 @@ def _classify_input(args):
     mat = mat.real
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix: must be square")
-    if mat.shape[0] > _MAX_CLASSIFY_N:
+    most = birkhoff._MAX_CORNER_N
+    if mat.shape[0] > most:
         raise ValueError(
-            f"matrix: classify takes at most {_MAX_CLASSIFY_N} x {_MAX_CLASSIFY_N}, "
+            f"matrix: classify takes at most {most} x {most}, "
             f"got {mat.shape[0]} x {mat.shape[0]}"
         )
     return mat

@@ -8,7 +8,7 @@ overlap of interest is always <phi_l|psi_j>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin, sqrt
 
@@ -22,6 +22,9 @@ OVERLAP_TOL = 1e-8
 # |det mu| at or below this marks a weight matrix as singular: the
 # measurement (or the polytope point) destroys the input's history.
 DET_TOL = 1e-10
+# Sums that must be 1 (a weight matrix's rows and columns, outcome statistics,
+# barycentric weights) may stray this far from it.
+BISTOCHASTIC_TOL = 1e-12
 
 __all__ = [
     "NORM_TOL",
@@ -117,11 +120,13 @@ class BasisPair:
     l-th post-selection vector phi_l.  Both matrices must be unitary (columns
     orthonormal).  The pair is *admissible* when every mutual overlap
     <phi_l|psi_j> is nonzero; only admissible pairs support a full table of
-    weak values.
+    weak values.  The overlap matrix G is formed once, at construction, and
+    like ``pre`` and ``post`` it is read-only.
     """
 
     pre: np.ndarray
     post: np.ndarray
+    _overlaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pre = np.array(self.pre, dtype=complex)
@@ -134,18 +139,18 @@ class BasisPair:
             )
         _check_orthonormal(pre, "pre")
         _check_orthonormal(post, "post")
-        pre.setflags(write=False)
-        post.setflags(write=False)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
+        g = post.conj().T @ pre
+        for name, mat in (("pre", pre), ("post", post), ("_overlaps", g)):
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     @property
     def dim(self) -> int:
         return self.pre.shape[0]
 
     def overlaps(self) -> np.ndarray:
-        """The overlap matrix G with G[l, j] = <phi_l|psi_j>."""
-        return self.post.conj().T @ self.pre
+        """The overlap matrix G with G[l, j] = <phi_l|psi_j>, read-only."""
+        return self._overlaps
 
     @property
     def min_overlap(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DET_TOL, BasisPair, check_distribution
+from .hilbert import BISTOCHASTIC_TOL, DET_TOL, BasisPair, check_distribution
 from .weakval import overlap_matrix
 
 # Components of a recovered mixture may stray this far outside [0, 1] before
@@ -97,7 +97,7 @@ def _solve_weights(pair, tau):
     Returns ``(mu, tau, rho_psi)``; raises SingularMeasurement when mu is
     not invertible.
     """
-    tau = check_distribution(tau, tol=1e-12)
+    tau = check_distribution(tau, tol=BISTOCHASTIC_TOL)
     singular, det = is_irreversible(pair)
     if singular:
         raise SingularMeasurement(det)

@@ -78,13 +78,6 @@ class WeakValueTable:
         return self.values.shape[0]
 
 
-def _overlap_or_raise(pair, l, j):
-    g = complex(np.vdot(pair.post[:, l], pair.pre[:, j]))
-    if abs(g) <= OVERLAP_TOL:
-        raise OverlapTooSmall(l, j, abs(g))
-    return g
-
-
 def _check_indices(dim, **indices):
     """Refuse an index outside 0 .. dim - 1; numpy would wrap a negative one."""
     for name, value in indices.items():
@@ -116,21 +109,21 @@ def _check_mixture(pair, p, q):
     return p, q
 
 
-def _admissible_overlaps(pair):
-    """The overlap matrix G, raising OverlapTooSmall at the first vanishing entry."""
+def _admissible_overlaps(pair, l=None, j=None):
+    """The overlap matrix G, or its entry G[l, j] when an index pair is given,
+    raising OverlapTooSmall at the first vanishing entry (row-major) among them."""
     g = pair.overlaps()
-    small = np.abs(g) <= OVERLAP_TOL
-    if np.any(small):
-        l, j = np.argwhere(small)[0]
-        raise OverlapTooSmall(l, j, abs(g[l, j]))
-    return g
+    for bad in zip(*np.nonzero(np.abs(g) <= OVERLAP_TOL)):
+        if l is None or bad == (l, j):
+            raise OverlapTooSmall(*bad, abs(g[bad]))
+    return g if l is None else g[l, j]
 
 
 def weak_value(a, pair, l, j):
     """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
     _check_indices(pair.dim, l=l, j=j)
     a = _check_operator(a, pair.dim)
-    g = _overlap_or_raise(pair, l, j)
+    g = _admissible_overlaps(pair, l, j)
     return complex(np.vdot(pair.post[:, l], a @ pair.pre[:, j]) / g)
 
 
@@ -140,7 +133,7 @@ def w_operator(pair, l, j):
     Rank one with unit trace for every admissible index pair.
     """
     _check_indices(pair.dim, l=l, j=j)
-    g = _overlap_or_raise(pair, l, j)
+    g = _admissible_overlaps(pair, l, j)
     return np.outer(pair.post[:, l], pair.pre[:, j].conj()) / np.conj(g)
 
 

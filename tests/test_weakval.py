@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_admissible_pair, random_hermitian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakvalues import (
     BasisPair,
@@ -14,6 +16,7 @@ from weakvalues import (
     expand,
     fractional_decomposition,
     gauge_transform,
+    hilbert,
     mixed_w_operator,
     mixed_weak_value,
     overlap_matrix,
@@ -429,3 +432,70 @@ def test_amplified_entries_refuses_non_hermitian_operators():
         table = weak_value_table(op, pair)
         with pytest.raises(ValueError, match="not Hermitian"):
             amplified_entries(table)
+
+
+# ---------------------------------------------------------------------------
+# one owner of G, one admissibility test
+
+
+def test_overlaps_are_formed_once_and_read_only():
+    rng = np.random.default_rng(2020)
+    pair = BasisPair(haar_unitary(4, rng), haar_unitary(4, rng))
+    g = pair.overlaps()
+    assert pair.overlaps() is g
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0
+    # every reader gives the bits of G formed afresh from the two bases
+    fresh = pair.post.conj().T @ pair.pre
+    assert np.array_equal(g, fresh)
+    assert np.array_equal(overlap_matrix(pair), np.abs(fresh) ** 2)
+    outer = pair.post.T[:, None, :, None] * pair.pre.conj().T[None, :, None, :]
+    assert np.array_equal(w_operator_set(pair), outer / fresh.conj()[:, :, None, None])
+    a = random_hermitian(4, rng)
+    table = weak_value_table(a, pair)
+    assert np.array_equal(table.values, (pair.post.conj().T @ a @ pair.pre) / fresh)
+    want = pair.post @ (table.values * fresh) @ pair.pre.conj().T
+    assert np.array_equal(expand(table), want)
+
+
+# angles at which some overlap of rotated_pair(dim, theta) vanishes
+_VANISHING = {2: (0.0, np.pi), 3: (0.0, np.pi / 2, np.pi)}
+
+
+@st.composite
+def near_inadmissible_pairs(draw):
+    """rotated_pair within 1e-6 of a vanishing overlap, both bases gauged by random phases."""
+    dim = draw(st.sampled_from(sorted(_VANISHING)))
+    center = draw(st.sampled_from(_VANISHING[dim]))
+    theta = draw(st.floats(max(center - 1e-6, 0.0), min(center + 1e-6, np.pi)))
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=dim, max_size=dim)
+    pair = rotated_pair(dim, theta)
+    return BasisPair(
+        gauge_transform(pair.pre, draw(phases)), gauge_transform(pair.post, draw(phases))
+    )
+
+
+def _overlap_error(fn, *args):
+    """The OverlapTooSmall that ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except OverlapTooSmall as err:
+        return err
+    return None
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(near_inadmissible_pairs())
+def test_every_route_refuses_exactly_the_vanishing_overlaps(pair):
+    a = rotated_operator(pair.dim, 0.3)
+    small = np.abs(pair.overlaps()) <= hilbert.OVERLAP_TOL
+    table_err = _overlap_error(weak_value_table, a, pair)
+    set_err = _overlap_error(w_operator_set, pair)
+    assert (table_err is None) == (set_err is None) == pair.admissible
+    if table_err is not None:  # the first vanishing entry in row-major order
+        first = tuple(np.argwhere(small)[0])
+        assert (table_err.l, table_err.j) == (set_err.l, set_err.j) == first
+    for l in range(pair.dim):
+        for j in range(pair.dim):
+            assert (_overlap_error(weak_value, a, pair, l, j) is not None) == small[l, j]
+            assert (_overlap_error(w_operator, pair, l, j) is not None) == small[l, j]
