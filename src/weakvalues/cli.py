@@ -49,6 +49,11 @@ OPERATOR_PRESETS = (
     "file:<path>",
 )
 BASIS_PRESETS = ("exclusive2", "rotated2", "rotated3", "file:<path>")
+# Input files: the largest matrix a file may hold, and the most characters read
+# from one (1 MiB of ASCII).  A weak-table document holds the n^4 W entries
+# (3.9 MB of JSON at n = 16); a 16 x 16 basis pair file takes about 30 KB.
+_MAX_FILE_N = 16
+_MAX_FILE_CHARS = 2**20
 
 __all__ = ["main", "run"]
 
@@ -195,6 +200,17 @@ def _render(document, fmt):
 # input parsing
 
 
+def _finite_float(text):
+    """The argparse type of --theta: a number that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text, what):
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
@@ -244,6 +260,11 @@ def _json_matrix(rows, where):
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise ValueError(f"{where}: rows must be nonempty and equally long")
+    if max(len(rows), width) > _MAX_FILE_N:  # counted before any entry is converted
+        raise ValueError(
+            f"{where}: a file matrix is at most {_MAX_FILE_N} x {_MAX_FILE_N}, "
+            f"got {len(rows)} x {width}"
+        )
     return np.array(
         [[_json_scalar(v, where) for v in row] for row in rows], dtype=complex
     )
@@ -251,7 +272,10 @@ def _json_matrix(rows, where):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read(_MAX_FILE_CHARS + 1)  # never more, whatever the file's size
+    if len(text) > _MAX_FILE_CHARS:
+        raise ValueError(f"{path}: refusing a file over {_MAX_FILE_CHARS} characters")
+    return json.loads(text)
 
 
 def _build_basis(name, theta):
@@ -480,14 +504,14 @@ def _build_parser():
     )
     wt.add_argument("operator", help=", ".join(OPERATOR_PRESETS))
     wt.add_argument("basis", help=", ".join(BASIS_PRESETS))
-    wt.add_argument("--theta", type=float, default=None, help="angle in radians")
+    wt.add_argument("--theta", type=_finite_float, default=None, help="angle in radians")
     wt.set_defaults(handler=_cmd_weak_table)
 
     rc = sub.add_parser(
         "reconstruct", parents=[common], help="recover a mixture from outcome statistics"
     )
     rc.add_argument("tau", help="comma-separated outcome probabilities")
-    rc.add_argument("--theta", type=float, required=True, help="angle in radians")
+    rc.add_argument("--theta", type=_finite_float, required=True, help="angle in radians")
     rc.set_defaults(handler=_cmd_reconstruct)
 
     bk = sub.add_parser("birkhoff", help="doubly stochastic matrix geometry")

@@ -183,6 +183,49 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_files_exit_four(tmp_path, capsys):
+    """A file: matrix above 16 x 16, or any file over 2**20 characters, is
+    refused before anything sized by its contents is allocated."""
+    eye = [[float(i == j) for j in range(17)] for i in range(17)]
+    fourier = np.exp(2j * np.pi * np.outer(range(17), range(17)) / 17) / math.sqrt(17)
+    cells = [[{"re": z.real, "im": z.imag} for z in row] for row in fourier.tolist()]
+    pair17 = tmp_path / "pair17.json"  # admissible: every overlap is 17 ** -0.5
+    pair17.write_text(json.dumps({"pre": eye, "post": cells}))
+    op17 = tmp_path / "op17.json"
+    op17.write_text(json.dumps(eye))
+    padded = tmp_path / "padded.json"  # a valid 2 x 2 operator past 1 MiB
+    padded.write_text("[[0, 1], [1, 0]]" + " " * 2**20)
+    row = tmp_path / "row.json"  # 600,000 entries in one row, 1.8 MB
+    row.write_text(json.dumps([[0] * 600_000]))
+    for argv, reason in (
+        (["weak-table", "identity", f"file:{pair17}"], "at most 16 x 16"),
+        (["weak-table", f"file:{op17}", "exclusive2"], "at most 16 x 16"),
+        (["weak-table", f"file:{padded}", "exclusive2"], "over 1048576 characters"),
+        (["weak-table", f"file:{row}", "exclusive2"], "over 1048576 characters"),
+        (["weak-table", "sigma_x", f"file:{row}"], "over 1048576 characters"),
+        (["birkhoff", "classify", "--file", str(row)], "over 1048576 characters"),
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert reason in err and err.startswith("error: ") and err.count("\n") == 1
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv", [["weak-table", "sigma_x", "exclusive2"], ["reconstruct", "0.5,0.5"]]
+)
+def test_non_finite_theta_is_refused_when_parsed(argv, value, capsys):
+    code, out, err = invoke(argv + [f"--theta={value}"], capsys)
+    assert (code, out) == (4, "")
+    assert "argument --theta" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "bad",
     [
