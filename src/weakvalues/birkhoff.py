@@ -674,6 +674,7 @@ def hypocycloid_boundary(resolution, corners=(0, 3, 4)):
     if len(idx) != 3:
         raise ValueError("the boundary locus is sampled on a three-corner plane")
     coeffs = simplex_grid(3, resolution)
-    mats = np.einsum("pm,mij->pij", coeffs, stack)
+    # only the two columns that chain_links reads
+    mats = np.einsum("pm,mij->pij", coeffs, stack[..., :2])
     defect = equality_defect(chain_links(mats))
     return coeffs[defect <= 2.0 / resolution]

@@ -105,19 +105,13 @@ def _components(a):
 
 
 def _dumps_array(a, indent):
-    # one template per innermost row, then the rows joined axis by axis
-    values = _components(a)
-    step = len(values) // a.size * a.shape[-1]  # components per innermost row
-    row = "[" + ", ".join([_CELLS[a.dtype.kind]] * a.shape[-1]) + "]"
-    items = [row % tuple(values[k : k + step]) for k in range(0, len(values), step)]
+    # every row has the same layout: one template for the array, filled once
+    text = "[" + ", ".join([_CELLS[a.dtype.kind]] * a.shape[-1]) + "]"
     for axis in range(a.ndim - 2, -1, -1):
-        pad = "  " * (indent + axis)
-        sep, size = ",\n  " + pad, a.shape[axis]
-        items = [
-            "[\n  " + pad + sep.join(items[k : k + size]) + "\n" + pad + "]"
-            for k in range(0, len(items), size)
-        ]
-    return items[0]
+        outer = "\n" + "  " * (indent + axis)
+        inner = outer + "  "
+        text = "[" + inner + ("," + inner).join([text] * a.shape[axis]) + outer + "]"
+    return text % tuple(_components(a))
 
 
 def _flatten_array(a, key):
@@ -275,7 +269,10 @@ def _load_json(path):
         text = fh.read(_MAX_FILE_CHARS + 1)  # never more, whatever the file's size
     if len(text) > _MAX_FILE_CHARS:
         raise ValueError(f"{path}: refusing a file over {_MAX_FILE_CHARS} characters")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: refusing a file nested too deeply") from None
 
 
 def _build_basis(name, theta):
@@ -370,7 +367,6 @@ def _cmd_reconstruct(args):
     dim = len(tau)
     pair = hilbert.rotated_pair(dim, args.theta)
     solution = reconstruct.reconstruct_full(pair, tau)
-    irreversible, det = reconstruct.is_irreversible(pair)
     return {
         "command": "reconstruct",
         "dim": dim,
@@ -378,10 +374,10 @@ def _cmd_reconstruct(args):
         "tau": tau,
         "rho_psi": solution.rho_psi,
         "rho_phi_offdiag": solution.rho_phi_offdiag,
-        "det_mu": det,
+        "det_mu": solution.det_mu,
         "condition": solution.condition,
         "residual": solution.residual,
-        "irreversible": irreversible,
+        "irreversible": solution.det_mu <= reconstruct.DET_TOL,
         "physical": solution.physical,
     }
 
@@ -420,20 +416,17 @@ def _cmd_birkhoff_classify(args):
     det = birkhoff.degeneracy(mu)
     if bistochastic:
         cert = birkhoff.is_unistochastic(mu)
-        verdict = cert.verdict
-        links = None if cert.chain_links is None else list(cert.chain_links)
-        unitary = cert.realizing_unitary
     else:
-        verdict, links, unitary = "no", None, None
+        cert = birkhoff.UnistochasticCertificate("no")
     return {
         "command": "birkhoff-classify",
         "matrix": mu,
         "bistochastic": bistochastic,
-        "unistochastic": verdict,
+        "unistochastic": cert.verdict,
         "det": det,
         "irreversible": abs(det) <= birkhoff.DET_TOL,
-        "chain_links": links,
-        "realizing_unitary": unitary,
+        "chain_links": cert.chain_links,
+        "realizing_unitary": cert.realizing_unitary,
     }
 
 

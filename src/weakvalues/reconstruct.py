@@ -55,7 +55,8 @@ class ReconstructionSolution:
     ``rho_psi`` are the recovered mixture weights on the pre basis.
     ``rho_phi_offdiag[m, k]`` (m != k) are the off-diagonal elements of the
     state written in the post basis; its diagonal is left zero (the diagonal
-    there is the observed tau itself).  ``condition`` is the reciprocal
+    there is the observed tau itself).  ``det_mu`` is |det mu|, the one
+    number that decides reversibility.  ``condition`` is the reciprocal
     condition number of mu, ``residual`` the norm ||mu @ rho_psi - tau|| of
     the recovered weights against the observed statistics, and ``physical``
     is False when any recovered weight strays outside [0, 1] beyond
@@ -64,6 +65,7 @@ class ReconstructionSolution:
 
     rho_psi: np.ndarray
     rho_phi_offdiag: np.ndarray
+    det_mu: float
     condition: float
     residual: float
     physical: bool
@@ -91,25 +93,9 @@ def is_irreversible(pair):
     return det <= DET_TOL, det
 
 
-def _solve_weights(pair, tau):
-    """Validate tau against the pair and solve mu @ rho_psi = tau.
-
-    Returns ``(mu, tau, rho_psi)``; raises SingularMeasurement when mu is
-    not invertible.
-    """
-    tau = check_distribution(tau, tol=BISTOCHASTIC_TOL)
-    singular, det = is_irreversible(pair)
-    if singular:
-        raise SingularMeasurement(det)
-    mu = overlap_matrix(pair)
-    if tau.shape[0] != mu.shape[0]:
-        raise ValueError("tau does not match the basis dimension")
-    return mu, tau, np.linalg.solve(mu, tau)
-
-
 def reconstruct_diagonal(pair, tau):
-    """Fast path: recover only the mixture weights, rho_psi = mu^-1 tau."""
-    return _solve_weights(pair, tau)[2]
+    """The mixture weights alone: the ``rho_psi`` of :func:`reconstruct_full`."""
+    return reconstruct_full(pair, tau).rho_psi
 
 
 def reconstruct_full(pair, tau):
@@ -120,9 +106,17 @@ def reconstruct_full(pair, tau):
     basis is then G diag(rho_psi) G^dagger (see :func:`expressed_in_post`),
     with G the raw overlaps; its off-diagonal elements are the ones the
     measurement erases and the statistics still determine.  ``residual`` is
-    ||mu @ rho_psi - tau||, at machine level for an invertible mu.
+    ||mu @ rho_psi - tau||, at machine level for an invertible mu.  Raises
+    SingularMeasurement when |det mu| <= DET_TOL.
     """
-    mu, tau, rho_psi = _solve_weights(pair, tau)
+    tau = check_distribution(tau, tol=BISTOCHASTIC_TOL)
+    mu = overlap_matrix(pair)
+    det = abs(float(np.linalg.det(mu)))
+    if det <= DET_TOL:
+        raise SingularMeasurement(det)
+    if tau.shape[0] != mu.shape[0]:
+        raise ValueError("tau does not match the basis dimension")
+    rho_psi = np.linalg.solve(mu, tau)
     offdiag = expressed_in_post(rho_psi, pair)
     np.fill_diagonal(offdiag, 0.0)
     residual = float(np.linalg.norm(mu @ rho_psi - tau))
@@ -135,6 +129,7 @@ def reconstruct_full(pair, tau):
     return ReconstructionSolution(
         rho_psi=rho_psi,
         rho_phi_offdiag=offdiag,
+        det_mu=det,
         condition=condition,
         residual=residual,
         physical=physical,

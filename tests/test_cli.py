@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakvalues import birkhoff, cli, hilbert, weakval
+from weakvalues import birkhoff, cli, hilbert, reconstruct, weakval
 
 
 def invoke(argv, capsys):
@@ -83,6 +83,25 @@ def test_reconstruct_document(capsys):
     assert doc["irreversible"] is False
     assert doc["residual"] < 1e-12
     assert 0.0 < doc["condition"] <= 1.0
+
+
+def test_reconstruct_forms_mu_and_its_determinant_once(capsys, monkeypatch):
+    """One reconstruct call decides singularity from one mu and one det."""
+    calls = {"mu": 0, "det": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    mu = counted(reconstruct.overlap_matrix, "mu")
+    monkeypatch.setattr(reconstruct, "overlap_matrix", mu)
+    monkeypatch.setattr(np.linalg, "det", counted(np.linalg.det, "det"))
+    code, _, _ = invoke(["reconstruct", "0.2,0.3,0.5", "--theta", "0.7"], capsys)
+    assert code == 0
+    assert calls == {"mu": 1, "det": 1}
 
 
 def test_overlap_failure_exit_code(capsys):
@@ -184,8 +203,9 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
 
 
 def test_oversized_files_exit_four(tmp_path, capsys):
-    """A file: matrix above 16 x 16, or any file over 2**20 characters, is
-    refused before anything sized by its contents is allocated."""
+    """A file: matrix above 16 x 16, any file over 2**20 characters, or one
+    nested past the decoder's recursion limit, is refused before anything
+    sized by its contents is allocated."""
     eye = [[float(i == j) for j in range(17)] for i in range(17)]
     fourier = np.exp(2j * np.pi * np.outer(range(17), range(17)) / 17) / math.sqrt(17)
     cells = [[{"re": z.real, "im": z.imag} for z in row] for row in fourier.tolist()]
@@ -197,6 +217,8 @@ def test_oversized_files_exit_four(tmp_path, capsys):
     padded.write_text("[[0, 1], [1, 0]]" + " " * 2**20)
     row = tmp_path / "row.json"  # 600,000 entries in one row, 1.8 MB
     row.write_text(json.dumps([[0] * 600_000]))
+    deep = tmp_path / "deep.json"  # 100,000 open lists, 100 KB
+    deep.write_text("[" * 100_000)
     for argv, reason in (
         (["weak-table", "identity", f"file:{pair17}"], "at most 16 x 16"),
         (["weak-table", f"file:{op17}", "exclusive2"], "at most 16 x 16"),
@@ -204,6 +226,8 @@ def test_oversized_files_exit_four(tmp_path, capsys):
         (["weak-table", f"file:{row}", "exclusive2"], "over 1048576 characters"),
         (["weak-table", "sigma_x", f"file:{row}"], "over 1048576 characters"),
         (["birkhoff", "classify", "--file", str(row)], "over 1048576 characters"),
+        (["weak-table", f"file:{deep}", "exclusive2"], "nested too deeply"),
+        (["birkhoff", "classify", "--file", str(deep)], "nested too deeply"),
     ):
         tracemalloc.start()
         try:
@@ -583,6 +607,7 @@ def test_classify_rejects_non_bistochastic_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["bistochastic"] is False
     assert doc["unistochastic"] == "no"
+    assert doc["chain_links"] is None and doc["realizing_unitary"] is None
 
 
 def test_sample_document(capsys):

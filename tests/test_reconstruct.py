@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import haar_unitary
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakvalues import (
     BasisPair,
@@ -71,6 +73,16 @@ def test_orthogonal_measurement_is_irreversible():
     assert is_irreversible(rotated_pair(3, np.pi / 2))[0]
 
 
+def test_det_mu_is_the_irreversibility_determinant():
+    for dim in (2, 3):
+        for theta in THETAS:
+            pair = rotated_pair(dim, theta)
+            flag, det = is_irreversible(pair)
+            assert not flag
+            tau = project(np.full(dim, 1.0 / dim), pair)
+            assert reconstruct_full(pair, tau).det_mu == det  # bit for bit
+
+
 def test_fourier_pair_is_irreversible():
     # the flat weight matrix (all entries 1/3) has determinant zero
     w = np.exp(2j * np.pi / 3)
@@ -98,6 +110,20 @@ def test_roundtrip_recovers_mixture(rng):
             assert np.allclose(sol.rho_phi_offdiag, off, atol=1e-8)
             assert sol.physical
             assert 0 < sol.condition <= 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.floats(0.05, np.pi - 0.05),
+    st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+)
+def test_round_trip_on_rotated_pairs(dim, theta, weights):
+    pair = rotated_pair(dim, theta)
+    assume(is_irreversible(pair)[1] >= 1e-2)  # clear of det mu = 0
+    rho = np.array(weights[:dim]) / sum(weights[:dim])
+    got = reconstruct_full(pair, project(rho, pair)).rho_psi
+    assert np.allclose(got, rho, rtol=0.0, atol=1e-10)
 
 
 def test_expressed_in_post_diagonal_is_tau(rng):

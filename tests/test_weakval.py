@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_admissible_pair, random_hermitian
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakvalues import (
@@ -456,6 +456,27 @@ def test_overlaps_are_formed_once_and_read_only():
     assert np.array_equal(table.values, (pair.post.conj().T @ a @ pair.pre) / fresh)
     want = pair.post @ (table.values * fresh) @ pair.pre.conj().T
     assert np.array_equal(expand(table), want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.floats(0.05, np.pi - 0.05),
+    st.floats(0.0, np.pi),
+    st.data(),
+)
+def test_gauge_phases_leave_weak_values_unchanged(dim, theta, op_theta, data):
+    pair = rotated_pair(dim, theta)
+    assume(np.min(np.abs(pair.overlaps())) >= 1e-3)  # error grows as 1 / |g|
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=dim, max_size=dim)
+    gauged = BasisPair(
+        gauge_transform(pair.pre, data.draw(phases)),
+        gauge_transform(pair.post, data.draw(phases)),
+    )
+    a = rotated_operator(dim, op_theta)
+    want = weak_value_table(a, pair).values
+    got = weak_value_table(a, gauged).values
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 # angles at which some overlap of rotated_pair(dim, theta) vanishes
