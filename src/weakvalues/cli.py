@@ -120,7 +120,7 @@ def _flatten_array(a, key):
         keys = [f"{k}/{i}" if k else str(i) for k in keys for i in range(size)]
     if a.dtype.kind == "c":
         keys = [k + part for k in keys for part in ("_re", "_im")]
-    cell = "%d" if a.dtype.kind == "i" else "%.17g"
+    cell = _CELLS["f" if a.dtype.kind == "c" else a.dtype.kind]  # re, im are floats
     return zip(keys, map(cell.__mod__, _components(a)))
 
 
@@ -141,8 +141,6 @@ def _dumps(value, indent=0):
     value = _plain(value)
     if isinstance(value, np.ndarray):
         return _dumps_array(value, indent)
-    if isinstance(value, complex):
-        return '{"re": %s, "im": %s}' % (_fmt(value.real), _fmt(value.imag))
     if isinstance(value, str):
         return json.dumps(value)
     pad = "  " * indent
@@ -172,8 +170,6 @@ def _flatten(value, key, writer):
         v = _plain(v)
         if isinstance(v, np.ndarray):
             writer.writerows(_flatten_array(v, k))
-        elif isinstance(v, complex):
-            writer.writerows(((f"{k}_re", _fmt(v.real)), (f"{k}_im", _fmt(v.imag))))
         elif isinstance(v, (dict, list, tuple)):
             _flatten(v, k, writer)
         else:
@@ -191,11 +187,12 @@ def _render(document, fmt):
 
 
 # ---------------------------------------------------------------------------
-# input parsing
+# input parsing: the argparse types below read every number on the command
+# line, so a refusal names its argument ("argument tau: ...") and exits 4
 
 
 def _finite_float(text):
-    """The argparse type of --theta: a number that is neither NaN nor infinite."""
+    """A number that is neither NaN nor infinite: --theta, one list entry."""
     try:
         value = float(text)
     except ValueError:
@@ -205,27 +202,20 @@ def _finite_float(text):
     return value
 
 
-def _parse_floats(text, what):
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError(f"{what} is empty")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {text!r}")
+def _finite_floats(text):
+    """tau and --coeffs: comma-separated finite numbers; empty parts are skipped."""
+    values = [_finite_float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one number, got {text!r}")
     return values
 
 
-def _parse_ints(text, what):
-    values = _parse_floats(text, what)
-    out = []
-    for v in values:
-        if v != int(v):
-            raise ValueError(f"{what} must be integers, got {text!r}")
-        out.append(int(v))
-    return out
+def _integers(text):
+    """--corners: comma-separated integers, written as numbers (1e0 is 1)."""
+    values = _finite_floats(text)
+    if not all(v == int(v) for v in values):
+        raise argparse.ArgumentTypeError(f"must list integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _is_number(value):
@@ -363,21 +353,20 @@ def _cmd_weak_table(args):
 
 
 def _cmd_reconstruct(args):
-    tau = _parse_floats(args.tau, "tau")
-    dim = len(tau)
+    dim = len(args.tau)
     pair = hilbert.rotated_pair(dim, args.theta)
-    solution = reconstruct.reconstruct_full(pair, tau)
+    solution = reconstruct.reconstruct_full(pair, args.tau)
     return {
         "command": "reconstruct",
         "dim": dim,
         "theta": args.theta,
-        "tau": tau,
+        "tau": args.tau,
         "rho_psi": solution.rho_psi,
         "rho_phi_offdiag": solution.rho_phi_offdiag,
         "det_mu": solution.det_mu,
         "condition": solution.condition,
         "residual": solution.residual,
-        "irreversible": solution.det_mu <= reconstruct.DET_TOL,
+        "irreversible": False,  # reconstruct_full refuses a singular mu (exit 3)
         "physical": solution.physical,
     }
 
@@ -387,14 +376,13 @@ _FACTORIALS = {math.factorial(n): n for n in (2, 3, 4, 5)}
 
 def _classify_input(args):
     if args.coeffs is not None:
-        coeffs = _parse_floats(args.coeffs, "--coeffs")
-        n = _FACTORIALS.get(len(coeffs))
+        n = _FACTORIALS.get(len(args.coeffs))
         if n is None:
             raise ValueError(
                 "--coeffs must list one weight per permutation corner "
-                f"(2, 6, 24 or 120 values), got {len(coeffs)}"
+                f"(2, 6, 24 or 120 values), got {len(args.coeffs)}"
             )
-        return birkhoff.combine(coeffs, birkhoff.permutation_corners(n))
+        return birkhoff.combine(args.coeffs, birkhoff.permutation_corners(n))
     mat = _json_matrix(_load_json(args.file), "matrix")
     if np.max(np.abs(mat.imag)) > 0.0:
         raise ValueError("matrix: bistochastic input must be real")
@@ -431,8 +419,7 @@ def _cmd_birkhoff_classify(args):
 
 
 def _cmd_birkhoff_sample(args):
-    corners = _parse_ints(args.corners, "--corners")
-    scan = birkhoff.sample_degenerate_surface(tuple(corners), args.resolution)
+    scan = birkhoff.sample_degenerate_surface(tuple(args.corners), args.resolution)
     _check_sums(scan.matrices, birkhoff.BISTOCHASTIC_TOL)
     points = [
         {"coefficients": c, "det": d, "degenerate": g, "unistochastic": u}
@@ -452,23 +439,20 @@ def _cmd_birkhoff_sample(args):
 
 
 def _cmd_birkhoff_hypocycloid(args):
-    corners = _parse_ints(args.corners, "--corners")
-    coeffs = birkhoff.hypocycloid_boundary(args.resolution, corners=tuple(corners))
+    coeffs = birkhoff.hypocycloid_boundary(args.resolution, corners=tuple(args.corners))
     # order the locus as a polyline: sweep by angle around the triangle center
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     rel = coeffs @ verts - np.array([0.5, math.sqrt(3.0) / 6.0])
     order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])))
     return {
         "command": "birkhoff-hypocycloid",
-        "corners": corners,
+        "corners": args.corners,
         "resolution": args.resolution,
         "points": coeffs[order],
     }
 
 
 def _cmd_birkhoff_corners(args):
-    if not 2 <= args.n <= 5:
-        raise ValueError("--n must lie in [2, 5] for the distance table")
     corners = birkhoff.permutation_corners(args.n)
     return {
         "command": "birkhoff-corners",
@@ -503,7 +487,7 @@ def _build_parser():
     rc = sub.add_parser(
         "reconstruct", parents=[common], help="recover a mixture from outcome statistics"
     )
-    rc.add_argument("tau", help="comma-separated outcome probabilities")
+    rc.add_argument("tau", type=_finite_floats, help="comma-separated outcome probabilities")
     rc.add_argument("--theta", type=_finite_float, required=True, help="angle in radians")
     rc.set_defaults(handler=_cmd_reconstruct)
 
@@ -512,24 +496,26 @@ def _build_parser():
 
     cl = bks.add_parser("classify", parents=[common], help="classify one matrix")
     route = cl.add_mutually_exclusive_group(required=True)
-    route.add_argument("--coeffs", default=None, help="corner weights, comma-separated")
+    route.add_argument("--coeffs", type=_finite_floats, help="corner weights, comma-separated")
     route.add_argument("--file", default=None, help="JSON matrix file")
     cl.set_defaults(handler=_cmd_birkhoff_classify)
 
     sm = bks.add_parser("sample", parents=[common], help="grid-sample a corner patch")
-    sm.add_argument("--corners", default="0,1,2,3", help="corner indices, comma-separated")
+    sm.add_argument(
+        "--corners", type=_integers, default="0,1,2,3", help="corner indices, comma-separated"
+    )
     sm.add_argument("--resolution", type=int, default=64)
     sm.set_defaults(handler=_cmd_birkhoff_sample)
 
     hy = bks.add_parser(
         "hypocycloid", parents=[common], help="closure-equality boundary polyline"
     )
-    hy.add_argument("--corners", default="0,3,4", help="three corner indices")
+    hy.add_argument("--corners", type=_integers, default="0,3,4", help="three corner indices")
     hy.add_argument("--resolution", type=int, default=256)
     hy.set_defaults(handler=_cmd_birkhoff_hypocycloid)
 
     co = bks.add_parser("corners", parents=[common], help="corner list plus distances")
-    co.add_argument("--n", type=int, default=3)
+    co.add_argument("--n", type=int, choices=range(2, 6), default=3)
     co.set_defaults(handler=_cmd_birkhoff_corners)
 
     return parser

@@ -122,7 +122,7 @@ def reconstruct_full(pair, tau):
     residual = float(np.linalg.norm(mu @ rho_psi - tau))
 
     smin, smax = np.linalg.svd(mu, compute_uv=False)[[-1, 0]]
-    condition = float(smin / smax) if smax > 0 else 0.0
+    condition = float(smin / smax)  # smax > 0: |det mu| > DET_TOL held above
     physical = bool(
         np.min(rho_psi) >= -PHYSICAL_TOL and np.max(rho_psi) <= 1.0 + PHYSICAL_TOL
     )

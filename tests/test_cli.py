@@ -1,5 +1,6 @@
 """In-process checks of the command-line front end: documents, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -9,9 +10,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakvalues import birkhoff, cli, hilbert, reconstruct, weakval
 
@@ -152,6 +156,11 @@ def test_singular_exit_code(capsys):
         ["weak-table", "sigma_theta", "exclusive2", "--theta", "nan"],
         ["weak-table", "sigma_x", "exclusive2", "--theta", "nan"],  # NaN only in the document
         ["birkhoff", "corners", "--n", "3", "--out", "/nonexistent/dir/doc.json"],
+        ["reconstruct", ",", "--theta", "0.5"],  # an empty list
+        ["reconstruct", "a,b", "--theta", "0.5"],
+        ["birkhoff", "sample", "--corners", "0,1.5,2", "--resolution", "4"],
+        ["weak-table", "sigma_x", "rotated2", "--theta", "abc"],
+        ["weak-table", "sigma_theta", "exclusive2"],  # rotated operator without --theta
     ],
 )
 def test_usage_errors_exit_four(argv, capsys):
@@ -185,6 +194,18 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
     big.write_text("[[1e200, -1e200, 1e200], [-1e200, 1e200, 1e200], [1e200, 1e200, -1e200]]")
     flat9 = tmp_path / "flat9.json"  # larger than classify takes
     flat9.write_text(json.dumps([[1 / 9] * 9] * 9))
+    obj = tmp_path / "obj.json"
+    obj.write_text('{"a": 1}')
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text("[[1, 2], [3]]")
+    keys = tmp_path / "keys.json"
+    keys.write_text('{"pre": [[1]]}')
+    wide = tmp_path / "wide.json"  # one vector of length 2 per basis
+    wide.write_text('{"pre": [[1, 0]], "post": [[1, 0]]}')
+    cplx = tmp_path / "cplx.json"
+    cplx.write_text('[[{"re": 0.5, "im": 0.5}, 0.5], [0.5, 0.5]]')
+    row = tmp_path / "row.json"
+    row.write_text("[[0.5, 0.5]]")
     for argv, reason in (
         (["weak-table", f"file:{op}", "exclusive2"], "finite"),
         (["birkhoff", "classify", "--file", str(mat)], "finite"),
@@ -194,6 +215,12 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         (["weak-table", f"file:{text}", "exclusive2"], "numbers"),
         (["birkhoff", "classify", "--file", str(big)], "overflow"),
         (["birkhoff", "classify", "--file", str(flat9)], "at most 8"),
+        (["weak-table", f"file:{obj}", "exclusive2"], "expected a list of rows"),
+        (["weak-table", f"file:{ragged}", "exclusive2"], "equally long"),
+        (["weak-table", "sigma_x", f"file:{keys}"], "keys 'pre' and 'post'"),
+        (["weak-table", "sigma_x", f"file:{wide}"], "must be square"),
+        (["birkhoff", "classify", "--file", str(cplx)], "must be real"),
+        (["birkhoff", "classify", "--file", str(row)], "must be square"),
     ):
         code, out, err = invoke(argv, capsys)
         assert code == 4
@@ -240,14 +267,127 @@ def test_oversized_files_exit_four(tmp_path, capsys):
         assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+_THETA_ROUTES = (["weak-table", "sigma_x", "exclusive2"], ["reconstruct", "0.5,0.5"])
+
+
 @pytest.mark.parametrize(
-    "argv", [["weak-table", "sigma_x", "exclusive2"], ["reconstruct", "0.5,0.5"]]
+    "argv, name",
+    [
+        pytest.param(argv + [f"--theta={value}"], "--theta", id=f"argv{k}-{value}")
+        for value in ("nan", "inf", "-inf")
+        for k, argv in enumerate(_THETA_ROUTES)
+    ]
+    + [
+        pytest.param(["weak-table", "sigma_x", "rotated2", "--theta", "abc"], "--theta",
+                     id="theta-text"),
+        pytest.param(["reconstruct", ",", "--theta", "0.5"], "tau", id="tau-empty"),
+        pytest.param(["reconstruct", "a,b", "--theta", "0.5"], "tau", id="tau-text"),
+        pytest.param(["reconstruct", "nan,1", "--theta", "0.9"], "tau", id="tau-nan"),
+        pytest.param(["birkhoff", "classify", "--coeffs", "1e999,0"], "--coeffs",
+                     id="coeffs-overflow"),
+        pytest.param(["birkhoff", "sample", "--corners", "0,1.5,2", "--resolution", "4"],
+                     "--corners", id="corners-fraction"),
+        pytest.param(["birkhoff", "hypocycloid", "--corners", "inf,0,1"], "--corners",
+                     id="corners-inf"),
+        pytest.param(["birkhoff", "corners", "--n", "7"], "--n", id="n-7"),
+        pytest.param(["birkhoff", "corners", "--n", "1"], "--n", id="n-1"),
+    ],
 )
-def test_non_finite_theta_is_refused_when_parsed(argv, value, capsys):
-    code, out, err = invoke(argv + [f"--theta={value}"], capsys)
+def test_non_finite_theta_is_refused_when_parsed(argv, name, capsys):
+    """Every number on the command line is read by the parser: a refusal is
+    one error line that names its argument."""
+    code, out, err = invoke(argv, capsys)
     assert (code, out) == (4, "")
-    assert "argument --theta" in err and err.count("\n") == 1
+    assert f"argument {name}:" in err and err.count("\n") == 1
+
+
+# One entry of a numeric argument: plain numbers, the non-finite spellings, a
+# float overflow, negative zero, a 400-digit integer, and parts that are empty
+# or not numbers at all.
+_ENTRIES = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e999", "-0", "1" * 400, "", " ", "x", "0x1"]),
+)
+
+
+def _listed(valid, min_size, max_size):
+    """A comma-separated list: a valid one, or one of any entries."""
+    junk = st.lists(_ENTRIES, min_size=min_size, max_size=max_size).map(",".join)
+    return st.one_of(valid, junk).map(lambda text: [text])
+
+
+def _weights(k):
+    """k weights that sum to one."""
+    return st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any).map(
+        lambda w: ",".join(repr(x / sum(w)) for x in w)
+    )
+
+
+def _corners(m):
+    return st.permutations(range(6)).map(lambda p: ",".join(map(str, p[:m])))
+
+
+_THETA = st.one_of(st.floats(0.0, 3.2).map(repr), st.just(repr(math.pi / 2)), _ENTRIES)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["weak-table"]),
+        st.sampled_from([["sigma_x"], ["sigma_theta"], ["L_z"], ["identity"]]),
+        st.sampled_from([["exclusive2"], ["rotated2"], ["rotated3"]]),
+        st.one_of(st.just([]), _THETA.map(lambda t: [f"--theta={t}"])),
+    ),
+    st.tuples(
+        st.just(["reconstruct"]),
+        _listed(st.sampled_from([2, 3]).flatmap(_weights), 0, 4),
+        _THETA.map(lambda t: [f"--theta={t}"]),
+    ),
+    # 2 or 6 weights only: no n >= 4 search runs
+    st.sampled_from([2, 6]).flatmap(
+        lambda k: st.tuples(st.just(["birkhoff", "classify", "--coeffs"]),
+                            _listed(_weights(k), k, k))
+    ),
+    st.tuples(
+        st.just(["birkhoff", "sample", "--corners"]),
+        _listed(st.sampled_from([3, 4]).flatmap(_corners), 0, 5),
+        st.integers(2, 8).map(lambda r: ["--resolution", str(r)]),
+    ),
+    st.tuples(
+        st.just(["birkhoff", "hypocycloid", "--corners"]),
+        _listed(_corners(3), 0, 4),
+        st.integers(3, 12).map(lambda r: ["--resolution", str(r)]),
+    ),
+    st.tuples(st.just(["birkhoff", "corners", "--n"]), st.integers(-1, 8).map(lambda n: [str(n)])),
+).map(lambda parts: sum(parts, []))
+
+
+def _finite_cell(text):
+    return text.strip().lower() not in ("nan", "inf", "-inf", "infinity", "-infinity")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_ARGV, st.sampled_from(["json", "csv"]))
+def test_every_argv_maps_to_a_documented_exit(argv, fmt):
+    """argv drawn from the parser's grammar: an exit code of 0, 2, 3 or 4, no
+    warning, a strict document with no NaN or inf on 0, and otherwise no
+    document and one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+        if fmt == "json":
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["key", "value"]
+            assert all(len(row) == 2 and _finite_cell(row[1]) for row in rows[1:]), argv
+    else:
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error at indices" if code == 2 else "error: "), (argv, err)
 
 
 @pytest.mark.parametrize(
