@@ -551,6 +551,8 @@ def canonical_coefficients(mu):
 
 # The largest grid simplex_grid builds: a triangle at resolution 512.
 _MAX_GRID_POINTS = math.comb(514, 2)
+# The most grid points a block of _grid_blocks holds.
+_GRID_BLOCK = 8192
 
 
 def simplex_grid(num_corners, resolution):
@@ -563,6 +565,12 @@ def simplex_grid(num_corners, resolution):
     a tetrahedron grid of as many points; anything else raises ValueError
     before the grid is allocated.
     """
+    return np.concatenate(list(_grid_blocks(num_corners, resolution)))
+
+
+def _grid_blocks(num_corners, resolution):
+    """simplex_grid's points in its order, made as arrays of at most
+    _GRID_BLOCK rows one at a time; the first one checks the arguments."""
     top = _MAX_GRID_POINTS
     for name, value in (("num_corners", num_corners), ("resolution", resolution)):
         if not (_is_integer(value) and 1 <= value <= top):
@@ -577,14 +585,16 @@ def simplex_grid(num_corners, resolution):
         count = count * (edges - small + i) // i
         if count > top or count * num_corners > 4 * top:
             raise ValueError(f"the grid exceeds {top} points or {4 * top} coordinates")
-    shape = (count, num_corners - 1)
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(edges), shape[1])),
-        dtype=np.intp,
-        count=shape[0] * shape[1],
-    ).reshape(shape)
-    bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, edges)))
-    return (np.diff(bounds, axis=1) - 1) / resolution
+    combos = itertools.combinations(range(edges), num_corners - 1)
+    for start in range(0, count, _GRID_BLOCK):
+        shape = (min(_GRID_BLOCK, count - start), num_corners - 1)
+        cuts = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, shape[0])),
+            dtype=np.intp,
+            count=shape[0] * shape[1],
+        ).reshape(shape)
+        bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, edges)))
+        yield (np.diff(bounds, axis=1) - 1) / resolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,8 +683,10 @@ def hypocycloid_boundary(resolution, corners=(0, 3, 4)):
     idx, stack = _corner_stack(corners)
     if len(idx) != 3:
         raise ValueError("the boundary locus is sampled on a three-corner plane")
-    coeffs = simplex_grid(3, resolution)
-    # only the two columns that chain_links reads
-    mats = np.einsum("pm,mij->pij", coeffs, stack[..., :2])
-    defect = equality_defect(chain_links(mats))
-    return coeffs[defect <= 2.0 / resolution]
+    locus = []
+    for coeffs in _grid_blocks(3, resolution):
+        # only the two columns that chain_links reads
+        mats = np.einsum("pm,mij->pij", coeffs, stack[..., :2])
+        defect = equality_defect(chain_links(mats))
+        locus.append(coeffs[defect <= 2.0 / resolution])
+    return np.concatenate(locus)

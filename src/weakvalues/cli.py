@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -58,6 +59,9 @@ _MAX_FILE_CHARS = 2**20
 __all__ = ["main", "run"]
 
 
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
 class _UsageError(Exception):
     pass
 
@@ -67,15 +71,36 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    # argparse takes "-1,0,1" or "-.5,2" for an option (it knows only plain
+    # negative numbers); any argument that starts "-" then a digit or "." is a value
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _fmt(x):
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to write the non-finite number {x!r}")
-    return format(x, ".17g")
+class _Records:
+    """Rows over equal-length columns, as the list of dicts they stand for.
+
+    A row's dict is made only when a walk reaches it, from one block of the
+    columns at a time, so no list of every row is ever built.
+    """
+
+    _BLOCK = 4096
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def __iter__(self):
+        names, columns = tuple(self.columns), tuple(self.columns.values())
+        for start in range(0, len(columns[0]), self._BLOCK):
+            block = [c[start : start + self._BLOCK].tolist() for c in columns]
+            for row in zip(*block):
+                yield dict(zip(names, row))
 
 
 # The text of one array entry by dtype kind; "%.17g" % x is format(x, ".17g").
@@ -94,14 +119,30 @@ def _plain(value):
 
 def _components(a):
     """An array's real components in C order as Python scalars, re and im
-    interleaved.  One finiteness gate per array: the first non-finite
-    component raises _fmt's ValueError."""
+    interleaved."""
     if a.dtype.kind == "c":
         a = np.stack([a.real, a.imag], axis=-1)
-    values = a.ravel().tolist()
-    if a.dtype.kind == "f" and not np.isfinite(a).all():
-        _fmt(next(x for x in values if not math.isfinite(x)))
-    return values
+    return a.ravel().tolist()
+
+
+def _check_finite(value):
+    """The one finiteness gate, over the whole document before anything is
+    written: one np.isfinite per array or column, math.isfinite per float
+    leaf.  The first non-finite number raises ValueError."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        if value.dtype.kind in "fc" and not np.isfinite(value).all():
+            _check_finite(_components(value))  # names the first non-finite component
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"refusing to write the non-finite number {value!r}")
+    elif isinstance(value, _Records):
+        _check_finite(value.columns)
+    elif isinstance(value, dict):
+        for v in value.values():
+            _check_finite(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_finite(v)
 
 
 def _dumps_array(a, indent):
@@ -131,7 +172,7 @@ def _scalar(value, null):
     if value is None:
         return null
     if isinstance(value, float):
-        return _fmt(value)
+        return format(value, ".17g")
     if isinstance(value, (int, str)):
         return str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -162,27 +203,58 @@ def _dumps(value, indent=0):
     return _scalar(value, "null")
 
 
+def _write_json(value, write, indent=0):
+    """Write the JSON text of value (what _dumps makes of a plain value) in
+    pieces: a nonempty dict entry by entry and records row by row; every
+    other value, one array or one row among them, goes whole."""
+    pad = "  " * indent
+    if isinstance(value, dict) and value:
+        head = "{\n"
+        for k, v in value.items():
+            write(f"{head}{pad}  {json.dumps(k)}: ")
+            _write_json(v, write, indent + 1)
+            head = ",\n"
+        write("\n" + pad + "}")
+    elif isinstance(value, _Records):
+        head = "[\n"
+        for row in value:
+            write(head + pad + "  " + _dumps(row, indent + 1))
+            head = ",\n"
+        write("[]" if head == "[\n" else "\n" + pad + "]")
+    else:
+        write(_dumps(value, indent))
+
+
 def _flatten(value, key, writer):
-    """Write the (key, text) rows under a dict or list into a csv writer as
-    they are made, so no list of every row is built."""
+    """Write the (key, text) rows under a dict, list or records into a csv
+    writer as they are made, so no list of every row is built."""
     for k, v in value.items() if isinstance(value, dict) else enumerate(value):
         k = f"{key}/{k}" if key else str(k)
         v = _plain(v)
         if isinstance(v, np.ndarray):
             writer.writerows(_flatten_array(v, k))
-        elif isinstance(v, (dict, list, tuple)):
+        elif isinstance(v, (dict, list, tuple, _Records)):
             _flatten(v, k, writer)
         else:
             writer.writerow((k, _scalar(v, "")))
 
 
-def _render(document, fmt):
+def _write(document, fmt, sink):
+    """Write a document that _check_finite has passed into a text sink."""
     if fmt == "json":
-        return _dumps(document) + "\n"
+        _write_json(document, sink.write)
+        sink.write("\n")
+    else:
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        _flatten(document, "", writer)
+
+
+def _render(document, fmt):
+    """A document's whole text: main's gate and walk, into a StringIO."""
+    _check_finite(document)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("key", "value"))
-    _flatten(document, "", writer)
+    _write(document, fmt, buf)
     return buf.getvalue()
 
 
@@ -421,15 +493,12 @@ def _cmd_birkhoff_classify(args):
 def _cmd_birkhoff_sample(args):
     scan = birkhoff.sample_degenerate_surface(tuple(args.corners), args.resolution)
     _check_sums(scan.matrices, birkhoff.BISTOCHASTIC_TOL)
-    points = [
-        {"coefficients": c, "det": d, "degenerate": g, "unistochastic": u}
-        for c, d, g, u in zip(
-            scan.coefficients.tolist(),
-            scan.dets.tolist(),
-            scan.degenerate.tolist(),
-            scan.unistochastic.tolist(),
-        )
-    ]
+    points = _Records(
+        coefficients=scan.coefficients,
+        det=scan.dets,
+        degenerate=scan.degenerate,
+        unistochastic=scan.unistochastic,
+    )
     return {
         "command": "birkhoff-sample",
         "corners": list(scan.corner_indices),
@@ -531,10 +600,13 @@ def main(argv=None):
     except SystemExit as err:  # --help exits argparse directly
         return EXIT_OK if not err.code else EXIT_INPUT
     try:
-        text = _render(args.handler(args), args.format)
+        document = args.handler(args)
+        _check_finite(document)  # before stdout or --out is touched
         if args.out:  # an --out that cannot be opened is bad input too
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                _write(document, args.format, fh)
+        else:
+            _write(document, args.format, sys.stdout)
     except weakval.OverlapTooSmall as err:
         print(f"error at indices (l={err.l}, j={err.j}): {err}", file=sys.stderr)
         return EXIT_OVERLAP
@@ -544,8 +616,6 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    if not args.out:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

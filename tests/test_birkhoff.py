@@ -813,6 +813,25 @@ def test_simplex_grid_matches_loop_reference():
             assert got.tobytes() == want.tobytes()
 
 
+def _whole_grid_locus(resolution, corners):
+    grid = simplex_grid(3, resolution)
+    mats = np.einsum("pm,mij->pij", grid, permutation_corners(3)[list(corners)])
+    return grid[equality_defect(chain_links(mats)) <= 2.0 / resolution]
+
+
+def test_blockwise_locus_matches_the_whole_grid():
+    """hypocycloid_boundary walks the grid in blocks, with the same bits."""
+    for resolution in (3, 9, 24, 97):
+        for corners in itertools.permutations(range(6), 3):
+            want = _whole_grid_locus(resolution, corners)
+            assert np.array_equal(hypocycloid_boundary(resolution, corners), want)
+    for corners in ((0, 3, 4), (2, 3, 1), (0, 3, 2)):  # 17 blocks of the grid
+        want = _whole_grid_locus(512, corners)
+        assert np.array_equal(hypocycloid_boundary(512, corners), want)
+    # simplex_grid itself is its blocks joined: 20,825 points, 3 blocks
+    assert simplex_grid(4, 48).tobytes() == _loop_simplex_grid(4, 48).tobytes()
+
+
 def test_surface_scan_patch():
     scan = sample_degenerate_surface((0, 1, 2, 3), 16)
     assert len(scan) == scan.coefficients.shape[0]
