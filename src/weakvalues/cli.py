@@ -145,7 +145,7 @@ def _check_finite(value):
             _check_finite(v)
 
 
-def _dumps_array(a, indent):
+def _json_array(a, indent):
     # every row has the same layout: one template for the array, filled once
     text = "[" + ", ".join([_CELLS[a.dtype.kind]] * a.shape[-1]) + "]"
     for axis in range(a.ndim - 2, -1, -1):
@@ -178,51 +178,38 @@ def _scalar(value, null):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _dumps(value, indent=0):
-    value = _plain(value)
-    if isinstance(value, np.ndarray):
-        return _dumps_array(value, indent)
-    if isinstance(value, str):
-        return json.dumps(value)
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}" for k, v in value.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        value = [_plain(v) for v in value]
-        if not any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in value):
-            return "[" + ", ".join(_dumps(v) for v in value) + "]"
-        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in value)
-        return "[\n" + body + "\n" + pad + "]"
-    return _scalar(value, "null")
+def _json_leaf(value):
+    return json.dumps(value) if isinstance(value, str) else _scalar(value, "null")
 
 
 def _write_json(value, write, indent=0):
-    """Write the JSON text of value (what _dumps makes of a plain value) in
-    pieces: a nonempty dict entry by entry and records row by row; every
-    other value, one array or one row among them, goes whole."""
+    """Write the JSON text of value in pieces: a dict entry by entry, records
+    and a list that holds a dict, list, array or records item by item; an
+    array, a list of leaves and a leaf go whole."""
+    value = _plain(value)
     pad = "  " * indent
-    if isinstance(value, dict) and value:
+    if isinstance(value, np.ndarray):
+        write(_json_array(value, indent))
+    elif isinstance(value, dict):
         head = "{\n"
         for k, v in value.items():
             write(f"{head}{pad}  {json.dumps(k)}: ")
             _write_json(v, write, indent + 1)
             head = ",\n"
-        write("\n" + pad + "}")
-    elif isinstance(value, _Records):
+        write("{}" if head == "{\n" else "\n" + pad + "}")
+    elif isinstance(value, _Records) or isinstance(value, (list, tuple)) and any(
+        isinstance(_plain(v), (dict, list, tuple, np.ndarray, _Records)) for v in value
+    ):
         head = "[\n"
-        for row in value:
-            write(head + pad + "  " + _dumps(row, indent + 1))
+        for v in value:
+            write(head + pad + "  ")
+            _write_json(v, write, indent + 1)
             head = ",\n"
         write("[]" if head == "[\n" else "\n" + pad + "]")
+    elif isinstance(value, (list, tuple)):
+        write("[" + ", ".join([_json_leaf(_plain(v)) for v in value]) + "]")
     else:
-        write(_dumps(value, indent))
+        write(_json_leaf(value))
 
 
 def _flatten(value, key, writer):
@@ -523,11 +510,14 @@ def _cmd_birkhoff_hypocycloid(args):
 
 def _cmd_birkhoff_corners(args):
     corners = birkhoff.permutation_corners(args.n)
+    # For permutation matrices |P - Q|^2 = 2n - 2<P, Q>, and <P, Q> counts the
+    # entries they share: an (n!, n!) table with no (n!, n!, n, n) difference.
+    inner = np.einsum("aij,bij->ab", corners, corners)
     return {
         "command": "birkhoff-corners",
         "n": args.n,
         "corners": corners.astype(int),
-        "distances": birkhoff.distance(corners[:, None], corners[None, :]),
+        "distances": np.sqrt(2.0 * (args.n - inner)),
     }
 
 

@@ -391,6 +391,94 @@ def test_every_argv_maps_to_a_documented_exit(argv, fmt):
         assert err.startswith("error at indices" if code == 2 else "error: "), (argv, err)
 
 
+# The contents of a file: input.  Leaves are numbers, booleans, null, strings
+# and 400-digit integers; a cell is a leaf or an {"re", "im"} pair of any two
+# leaves or lists.  Matrices are square or ragged, trees nest lists and
+# objects, and the deep texts nest past the decoder's recursion limit.
+_FILE_LEAVES = st.one_of(
+    st.integers(-2, 2),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "1", "x", 10**400, -(10**400)]),
+)
+_FILE_CELLS = st.one_of(
+    _FILE_LEAVES,
+    st.fixed_dictionaries(
+        {"re": _FILE_LEAVES | st.lists(_FILE_LEAVES, max_size=2), "im": _FILE_LEAVES}
+    ),
+)
+_FILE_MATRICES = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_FILE_CELLS, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.lists(st.lists(_FILE_CELLS, max_size=3), max_size=3),
+)
+_FILE_TREES = st.recursive(
+    _FILE_CELLS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["pre", "post", "re", "im", "x"]), kids, max_size=3),
+    max_leaves=10,
+)
+_FILE_TEXTS = st.one_of(
+    st.one_of(_FILE_MATRICES, _FILE_TREES).map(json.dumps),
+    st.fixed_dictionaries({"pre": _FILE_MATRICES, "post": _FILE_MATRICES}).map(json.dumps),
+    st.tuples(st.sampled_from([2, 900, 5_000, 100_000]), st.booleans()).map(
+        lambda deep: "[" * deep[0] + "]" * deep[0] * deep[1]
+    ),
+)
+_FILE_ROUTES = st.sampled_from(["operator", "basis", "classify"])
+_FILE_CASES = st.one_of(
+    st.tuples(_FILE_TEXTS, _FILE_ROUTES),
+    # files that their route accepts, so that exit 0 is drawn on each, and a
+    # basis pair with a vanishing overlap (exit 2)
+    st.sampled_from([
+        ("[[0, 1], [1, 0]]", "operator"),
+        ('[[1, {"re": 0, "im": -1}], [{"re": 0, "im": 1}, -1]]', "operator"),
+        ('{"pre": [[1, 0], [0, 1]], "post": [[0.6, 0.8], [0.8, -0.6]]}', "basis"),
+        ('{"pre": [[1, 0], [0, 1]], "post": [[0, 1], [1, 0]]}', "basis"),
+        ("[[0.5, 0.5], [0.5, 0.5]]", "classify"),
+        ("[[0, 1], [1, 0]]", "classify"),
+    ]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_FILE_CASES)
+def test_every_file_maps_to_a_documented_exit(tmp_path_factory, case):
+    """Drawn file: contents, as a weak-table operator or basis or a classify
+    matrix: an exit code of 0, 2, 3 or 4, no warning, a strict document and
+    no error line on 0 and otherwise one error line, and a traced peak
+    bounded whatever the file holds."""
+    text, route = case
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    path.write_text(text)
+    argv = {
+        "operator": ["weak-table", f"file:{path}", "exclusive2"],
+        "basis": ["weak-table", "sigma_x", f"file:{path}"],
+        "classify": ["birkhoff", "classify", "--file", str(path)],
+    }[route]
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (text[:200], route, code, err)
+    if code == 0:
+        assert err == "" and out.endswith("\n"), (text[:200], route)
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} from {text[:200]}"))
+    else:
+        assert out == "" and err.count("\n") == 1, (route, err)
+        assert err.startswith("error at indices" if code == 2 else "error: "), (route, err)
+    assert peak < 16 * 2**20, (text[:200], route, peak)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -469,16 +557,21 @@ def test_refusals_name_the_library_check(argv, message, capsys):
 def test_documents_are_written_as_they_are_rendered(tmp_path):
     """The largest mesh documents hold little beyond their inputs while written.
 
-    With the whole text built first, these three read 19.5, 19.4 and 16.1 MiB
-    traced; the hypocycloid then also held its whole 131,841-point grid.
+    With the whole text built first, the first three read 19.5, 19.4 and
+    16.1 MiB traced; the hypocycloid then also held its whole 131,841-point
+    grid.  The n = 5 corners read 5.65 MiB in both formats while their
+    distances came from a (120, 120, 5, 5) difference.
     """
     runs = (
-        ["birkhoff", "sample", "--corners", "0,3,2,1", "--resolution", "48"],
-        ["birkhoff", "sample", "--corners", "2,4,0", "--resolution", "192", "--format", "csv"],
-        ["birkhoff", "hypocycloid", "--corners", "2,3,1", "--resolution", "512"],
+        (["birkhoff", "sample", "--corners", "0,3,2,1", "--resolution", "48"], 8),
+        (["birkhoff", "sample", "--corners", "2,4,0", "--resolution", "192", "--format", "csv"],
+         8),
+        (["birkhoff", "hypocycloid", "--corners", "2,3,1", "--resolution", "512"], 8),
+        (["birkhoff", "corners", "--n", "5"], 3),
+        (["birkhoff", "corners", "--n", "5", "--format", "csv"], 3),
     )
     out_path = str(tmp_path / "doc")
-    for argv in runs:
+    for argv, mib in runs:
         tracemalloc.start()
         try:
             code = cli.main(argv + ["--out", out_path])
@@ -486,7 +579,7 @@ def test_documents_are_written_as_they_are_rendered(tmp_path):
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 8 * 2**20, (argv, peak)
+        assert peak < mib * 2**20, (argv, peak)
 
 
 def test_check_sums_covers_the_whole_stack():
@@ -1000,7 +1093,9 @@ def test_render_matches_reference(tmp_path):
 
 
 def test_render_arrays_match_reference_on_every_shape():
-    """Arrays of every rank and kind, empty ones and numpy scalars included."""
+    """Arrays of every rank and kind, empty ones and numpy scalars included;
+    empty dicts and lists, a tuple of leaves, lists of lists and a list that
+    mixes a dict with leaves, nested and at the top."""
     rng = np.random.default_rng(3)
     z = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     document = {
@@ -1014,6 +1109,13 @@ def test_render_arrays_match_reference_on_every_shape():
         "scalar": np.float64(-0.0),
         "nested": [np.eye(2), {"inner": z[0, 0]}, np.array([1j])],
         "single": np.array([[[7.0]]]),
+        "empty_dict": {},
+        "empty_dicts": [{}, {"inner": {}}],
+        "empty_list": [],
+        "tuple": (None, True, 'a, "b"'),
+        "lists": [[1, 2.5, "c"], [False], []],
+        "mixed": [{"k": -0.0}, 3, "d"],
     }
-    for fmt in ("json", "csv"):
-        assert cli._render(document, fmt) == _ref_render(document, fmt), fmt
+    for doc in (document, {}, [{}]):
+        for fmt in ("json", "csv"):
+            assert cli._render(doc, fmt) == _ref_render(doc, fmt), (doc, fmt)
