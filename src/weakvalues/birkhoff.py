@@ -25,16 +25,21 @@ TRIANGLE_TOL = 1e-12
 # The largest n of permutation_corners, and of a matrix that classify takes.
 _MAX_CORNER_N = 8
 
-# Phase search: :func:`_project_iterate` runs one start per target, and
-# :func:`unitary_phase_search` the ladder of starts.  Deviations are from
-# unitarity, max |U^dagger U - 1|.  A start is handed to a Gauss-Newton
-# polish of at most _POLISH_STEPS steps when its deviation first falls to
-# _HANDOFF.  Projection and polish stop at convergence, _SEARCH_TOL.  The
-# stall rule ends projection once _SEARCH_PLATEAU steps in a row have each
-# cut the lowest deviation by less than the fraction _SEARCH_PROGRESS.  A
-# start that ends within _BASIN is polished once more, and a start whose
-# lowest deviation reached it earns its target up to _BASIN_RESTARTS more
-# random starts.  Realizations are accepted and verified at _SEARCH_ACCEPT.
+# Phase search: :func:`_project_iterate` runs a batch of starts side by side,
+# several per target, and :func:`unitary_phase_search` two rungs of them:
+# first every target's zero-phase start and its random restarts, then
+# _BASIN_RESTARTS random starts for each target left unresolved whose
+# starts reached _BASIN.  Random phase fields are drawn rung by rung in
+# (start, target) order.  The earliest step at which a start of a target
+# wins ends the target, the lowest start index winning a tie.  Deviations
+# are from unitarity, max |U^dagger U - 1|.  A start is handed to a
+# Gauss-Newton polish of at most _POLISH_STEPS steps when its deviation
+# first falls to _HANDOFF.  Projection and polish stop at convergence,
+# _SEARCH_TOL.  The stall rule ends projection once _SEARCH_PLATEAU steps in
+# a row have each cut the lowest deviation by less than the fraction
+# _SEARCH_PROGRESS.  The starts of a target that no step ended are polished
+# once more if they end within _BASIN.  Realizations are accepted and
+# verified at _SEARCH_ACCEPT.
 _SEARCH_TOL = 1e-12
 _SEARCH_ACCEPT = 1e-9
 _SEARCH_PLATEAU = 60
@@ -46,6 +51,8 @@ _POLISH_STEPS = 40
 # The default search budget: projection steps per start, random restarts.
 _SEARCH_MAX_ITER = 800
 _SEARCH_RESTARTS = 4
+# The most random restarts a search takes.
+_MAX_RESTARTS = 64
 
 __all__ = [
     "BISTOCHASTIC_TOL",
@@ -269,32 +276,31 @@ def _verify_realization(u, mu):
     return gram_dev <= _SEARCH_ACCEPT and mod_dev <= _SEARCH_ACCEPT
 
 
-def _project_iterate(g, r, max_iter):
-    """Run one start per batch entry, from its first projection step to its result.
+def _project_iterate(g, r, max_iter, owner=None):
+    """Run a batch of starts side by side, each until it ends or its target is won.
 
-    Each step projects the iterate to the nearest unitary (polar factor) and
-    back to the moduli ``r``.  The first time an entry comes within _HANDOFF
-    of unitarity, it is handed to :func:`_phase_polish`, in one call with
-    every entry handed over at that step: a polish that reaches
-    _SEARCH_ACCEPT wins the entry, and otherwise projection goes on from the
-    unpolished iterate.  An entry also leaves at unitarity to _SEARCH_TOL, by
-    the stall rule (_SEARCH_PLATEAU, _SEARCH_PROGRESS), or after ``max_iter``
-    steps.  Live entries are carried as compact arrays.  Each entry's exit
-    deviation is read once, from the iterates returned by the loop; with
-    ``max_iter`` 0 that is the deviation of the start itself.  The entries
-    that exit within _BASIN but short of acceptance are polished once more,
-    in one call: Gauss-Newton from a floor near 1e-3 can land where it failed
-    from the hand-off.
+    Each step projects the live iterates to the nearest unitary (polar
+    factor) and back to the moduli ``r``.  The first time an entry comes
+    within _HANDOFF of unitarity, it goes to :func:`_phase_polish` with
+    every entry handed over at that step; one that reaches _SEARCH_ACCEPT
+    wins, and otherwise projection goes on from the unpolished iterate.  An
+    entry also leaves at _SEARCH_TOL, by the stall rule (_SEARCH_PLATEAU,
+    _SEARCH_PROGRESS), or after ``max_iter`` steps.  ``owner`` names each
+    entry's target (by default, itself): the earliest step at which an entry
+    leaves unitary to _SEARCH_ACCEPT ends its target, won by that entry (the
+    lowest index on a tie), and its other live entries leave unpolished.
+    The other targets' entries are read from the iterates they exit with
+    (with ``max_iter`` 0, the starts); those within _BASIN are polished once
+    more, in one call (Gauss-Newton from a floor near 1e-3 can land where it
+    failed from the hand-off), and the lowest-index accepted entry wins.
 
-    Returns ``(g, won, lowest)``: the iterates, written into ``g``, which
-    entries are unitary to _SEARCH_ACCEPT, and the lowest deviation each
-    entry reached, its exit deviation included.
+    Returns ``(g, won, lowest)``: the iterates, written into ``g``, each
+    target's winning entry, and the lowest deviation each entry reached.
     """
-    lowest = np.full(g.shape[0], np.inf)
     alive = np.arange(g.shape[0])
-    ga, ra = g, r
-    best = np.full(alive.size, np.inf)
-    stall = np.zeros(alive.size, dtype=int)
+    owner = alive if owner is None else owner
+    won, lowest = np.zeros(alive.size, dtype=bool), np.full(alive.size, np.inf)
+    ga, ra, best, stall = g, r, lowest.copy(), np.zeros(alive.size, dtype=int)
     for _ in range(max_iter):
         if alive.size == 0:
             break
@@ -308,23 +314,25 @@ def _project_iterate(g, r, max_iter):
         done = (dev <= _SEARCH_TOL) | (stall > _SEARCH_PLATEAU)
         if fresh.any():
             rows = np.flatnonzero(fresh & ~done)
-            polished, polished_dev = _phase_polish(ga[rows])
-            won = polished_dev <= _SEARCH_ACCEPT
-            rows = rows[won]
-            ga[rows], done[rows] = polished[won], True
+            polished, dev[rows] = _phase_polish(ga[rows])
+            landed = dev[rows] <= _SEARCH_ACCEPT
+            ga[rows[landed]], done[rows[landed]] = polished[landed], True
         if done.any():
-            g[alive[done]] = ga[done]
-            lowest[alive[done]] = best[done]
-            live = ~done
-            alive, ga, ra, best, stall = (x[live] for x in (alive, ga, ra, best, stall))
-    g[alive] = ga
-    lowest[alive] = best
+            wins = alive[done & (dev <= _SEARCH_ACCEPT)]
+            won[wins[np.unique(owner[wins], return_index=True)[1]]] = True
+            done |= np.isin(owner[alive], owner[wins])
+            g[alive[done]], lowest[alive[done]] = ga[done], best[done]
+            alive, ga, ra, best, stall = (x[~done] for x in (alive, ga, ra, best, stall))
+    g[alive], lowest[alive] = ga, best
     final = _unitarity_deviation(g)
-    floor = (final > _SEARCH_ACCEPT) & (final <= _BASIN)
+    unended = ~np.isin(owner, owner[won])
+    floor = unended & (final > _SEARCH_ACCEPT) & (final <= _BASIN)
     if floor.any():
         g[floor] = _phase_polish(g[floor])[0]
         final[floor] = _unitarity_deviation(g[floor])
-    return g, final <= _SEARCH_ACCEPT, np.minimum(lowest, final)
+    wins = np.flatnonzero(unended & (final <= _SEARCH_ACCEPT))
+    won[wins[np.unique(owner[wins], return_index=True)[1]]] = True
+    return g, won, np.minimum(lowest, final)
 
 
 def _phase_polish(u):
@@ -388,23 +396,23 @@ def unitary_phase_search(
     that is already unitary wins, and one within _BASIN gets only the
     Gauss-Newton polish.
 
-    Unresolved targets go through a ladder of stages, one start per target
-    in each: zero phases, then ``restarts`` random phase fields, then up to
-    _BASIN_RESTARTS (4) more random phase fields given only to the targets
-    that some earlier start brought within _BASIN (1e-2) of unitarity, read
-    from the lowest deviation the start reached.  Each stage is one call of
-    :func:`_project_iterate`, which runs every start of the stage, up to
-    ``max_iter`` projection steps each, with its Gauss-Newton polishes.  The
-    basin restarts rescue targets on which the first starts stall at a
-    local floor of about 1e-3 to 1e-2; gating them on basin entry keeps
-    clearly infeasible targets from burning through the whole ladder.
-    Random phases are drawn stage by stage, only for the targets still
-    unresolved; the result is deterministic for a given ``rng`` seed.
+    Two rungs of starts run, each one :func:`_project_iterate` call with
+    every start side by side, up to ``max_iter`` projection steps each.
+    Rung 1 gives each target its zero-phase start and ``restarts`` random
+    phase fields.  Rung 2 gives _BASIN_RESTARTS (4) more random fields to
+    each target still unresolved that a rung-1 start brought within _BASIN
+    (1e-2) of unitarity: they rescue targets whose first starts stall at a
+    floor of 1e-3 to 1e-2.  The earliest step at which a start wins ends
+    its target, the lowest start index (zero phases first) winning a tie.
+    Fields are drawn rung by rung in (start, target) order, for random
+    starts only, so the k-th random start of a lone target takes the k-th
+    field drawn; the result is deterministic for a given ``rng`` seed.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.  Raises ValueError,
-    before any search, for targets that are not finite square matrices and
-    for a ``max_iter`` or ``restarts`` that is not a nonnegative integer.
+    before any search or draw, for targets that are not finite square
+    matrices, for a ``max_iter`` or ``restarts`` that is not a nonnegative
+    integer, and for ``restarts`` above _MAX_RESTARTS (64).
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -418,29 +426,28 @@ def unitary_phase_search(
     for name, value in (("max_iter", max_iter), ("restarts", restarts)):
         if not (_is_integer(value) and value >= 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    single = targets.ndim == 2
-    mus = targets.reshape((-1,) + targets.shape[-2:])
-    batch, n, _ = mus.shape
-    roots = np.sqrt(np.clip(mus, 0.0, None))
-    out = roots.astype(complex)
-    ok = np.zeros(batch, dtype=bool)
+    if restarts > _MAX_RESTARTS:
+        raise ValueError(f"restarts must be at most {_MAX_RESTARTS}, got {restarts!r}")
+    roots = np.sqrt(np.clip(targets, 0.0, None)).reshape((-1,) + shape[-2:])
+    batch, n, _ = roots.shape
+    out, ok = roots.astype(complex), np.zeros(batch, dtype=bool)
     gen = np.random.default_rng(0 if rng is None else rng)
 
-    basin = np.zeros(batch, dtype=bool)
-    for stage in range(1 + restarts + _BASIN_RESTARTS):
-        todo = np.flatnonzero(~ok & (basin | (stage <= restarts)))
+    todo = np.arange(batch)
+    for zeros, draws in ((1, restarts), (0, _BASIN_RESTARTS)):  # the two rungs
         if todo.size == 0:
-            break  # every later stage runs a subset of these targets
-        r = roots[todo]
-        turns = gen.random((todo.size, n, n)) if stage else 0.0
-        g, won, lowest = _project_iterate(r * np.exp(2j * np.pi * turns), r, max_iter)
-        basin[todo] |= lowest <= _BASIN
-        ok[todo[won]] = True
-        out[todo[won]] = g[won]
+            break
+        k = todo.size
+        owner = np.tile(np.arange(k), zeros + draws)  # entries in (start, target) order
+        turns = np.concatenate([np.zeros((zeros * k, n, n)), gen.random((draws * k, n, n))])
+        r = roots[todo[owner]]
+        g, won, low = _project_iterate(r * np.exp(2j * np.pi * turns), r, max_iter, owner)
+        ok[todo[owner[won]]], out[todo[owner[won]]] = True, g[won]
+        todo = todo[~ok[todo] & np.any(low.reshape(-1, k) <= _BASIN, axis=0)]
 
-    if single:
+    if targets.ndim == 2:
         return out[0], bool(ok[0])
-    return out.reshape(targets.shape).astype(complex), ok.reshape(targets.shape[:-2])
+    return out.reshape(shape).astype(complex), ok.reshape(shape[:-2])
 
 
 def _unistochastic_verdict(mu):

@@ -399,11 +399,14 @@ def test_polygon_screen_passes_unitary_born_targets(rng):
 
 
 def test_phase_search_is_deterministic():
-    flat = np.full((3, 3), 1 / 3)
-    u1, ok1 = unitary_phase_search(flat)
-    u2, ok2 = unitary_phase_search(flat)
-    assert ok1 and ok2
-    assert np.array_equal(u1, u2)
+    # the flat 3 x 3, and a B4 mix whose zero-phase start fails, so that its
+    # random starts run side by side
+    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=4)
+    for target in (np.full((3, 3), 1 / 3), combine(weights[3], permutation_corners(4))):
+        u1, ok1 = unitary_phase_search(target)
+        u2, ok2 = unitary_phase_search(target)
+        assert ok1 and ok2
+        assert np.array_equal(u1, u2)
 
 
 def test_phase_search_batched(rng):
@@ -566,6 +569,106 @@ def test_phase_search_basin_restarts_realize_beyond_the_zero_stage():
     assert ok[zero_ok].all() and want_ok[zero_ok].all()
     assert np.any(ok & ~zero_ok)
     _assert_valid_realizations(got_u, ok, targets)
+
+
+def _ladder_project_iterate(g, r, max_iter):
+    # reference: the start runner of the stage-by-stage search, in which
+    # every start runs to its own end
+    lowest = np.full(g.shape[0], np.inf)
+    alive = np.arange(g.shape[0])
+    ga, ra = g, r
+    best = np.full(alive.size, np.inf)
+    stall = np.zeros(alive.size, dtype=int)
+    for _ in range(max_iter):
+        if alive.size == 0:
+            break
+        u, _, vh = np.linalg.svd(ga)
+        ga = ra * np.exp(1j * np.angle(u @ vh))
+        dev = _unitarity_deviation(ga)
+        improved = dev < best * (1.0 - birkhoff._SEARCH_PROGRESS)
+        fresh = (dev <= birkhoff._HANDOFF) & (best > birkhoff._HANDOFF)
+        best = np.minimum(best, dev)
+        stall = np.where(improved, 0, stall + 1)
+        done = (dev <= _SEARCH_TOL) | (stall > _SEARCH_PLATEAU)
+        if fresh.any():
+            rows = np.flatnonzero(fresh & ~done)
+            polished, polished_dev = _phase_polish(ga[rows])
+            won = polished_dev <= _SEARCH_ACCEPT
+            rows = rows[won]
+            ga[rows], done[rows] = polished[won], True
+        if done.any():
+            g[alive[done]] = ga[done]
+            lowest[alive[done]] = best[done]
+            live = ~done
+            alive, ga, ra, best, stall = (x[live] for x in (alive, ga, ra, best, stall))
+    g[alive] = ga
+    lowest[alive] = best
+    final = _unitarity_deviation(g)
+    floor = (final > _SEARCH_ACCEPT) & (final <= birkhoff._BASIN)
+    if floor.any():
+        g[floor] = _phase_polish(g[floor])[0]
+        final[floor] = _unitarity_deviation(g[floor])
+    return g, final <= _SEARCH_ACCEPT, np.minimum(lowest, final)
+
+
+def _ladder_phase_search(mus, rng=None, max_iter=800, restarts=4):
+    # reference: the stage-by-stage ladder, one start per unresolved target
+    # in each stage, on a (B, n, n) stack; returns the unitaries, which
+    # targets were realized, and the stage that realized each (-1 for none)
+    batch, n, _ = mus.shape
+    roots = np.sqrt(np.clip(mus, 0.0, None))
+    out = roots.astype(complex)
+    ok = np.zeros(batch, dtype=bool)
+    stage_won = np.full(batch, -1)
+    gen = np.random.default_rng(0 if rng is None else rng)
+    basin = np.zeros(batch, dtype=bool)
+    for stage in range(1 + restarts + birkhoff._BASIN_RESTARTS):
+        todo = np.flatnonzero(~ok & (basin | (stage <= restarts)))
+        if todo.size == 0:
+            break
+        r = roots[todo]
+        turns = gen.random((todo.size, n, n)) if stage else 0.0
+        g, won, lowest = _ladder_project_iterate(r * np.exp(2j * np.pi * turns), r, max_iter)
+        basin[todo] |= lowest <= birkhoff._BASIN
+        ok[todo[won]] = True
+        out[todo[won]] = g[won]
+        stage_won[todo[won]] = stage
+    return out, ok, stage_won
+
+
+# requests seed 20, 4x4 classify target 139: its five first starts stall
+# near 1e-2, and the first basin restart realizes it
+BASIN_WIN_COEFFS = [
+    0.003793882495483673, 0.0023586649703680952, 3.838173377117061e-05,
+    0.13304165413124477, 0.0007933018357883241, 0.009020273661315652,
+    0.003868440362906849, 0.0004174974157361091, 0.052794506421643586,
+    3.959186194906688e-08, 0.048993339063942744, 0.0007873847506027529,
+    0.0023411193393730687, 0.0819922027737738, 0.020770061837400936,
+    0.03924881066454657, 0.2532114304805709, 0.06645191620083715,
+    2.445082428045539e-05, 0.005521237427788849, 0.05301292640712917,
+    0.02085142483524209, 1.2578340742790368e-06, 0.20066579494031722,
+]
+
+
+def test_rungs_keep_the_verdicts_of_the_stage_ladder():
+    # single 4 x 4 targets, each searched alone as is_unistochastic does:
+    # Dirichlet(0.15) B4 mixes of seed 404 that the ladder realizes at stages
+    # 0, 1, 2 and 3 or leaves unresolved, and the basin win above
+    corners = permutation_corners(4)
+    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=30)
+    targets = np.stack(
+        [combine(weights[k], corners) for k in (1, 3, 22, 18, 28, 29)]
+        + [combine(BASIN_WIN_COEFFS, corners)]
+    )
+    stages = []
+    for mu in targets:
+        _, want_ok, stage = _ladder_phase_search(mu[None])
+        u, ok = unitary_phase_search(mu)
+        assert ok == want_ok[0]
+        if ok:
+            assert birkhoff._verify_realization(u, mu)
+        stages.append(int(stage[0]))
+    assert stages == [0, 1, 2, 3, -1, -1, 5]
 
 
 def _haar_born(n, k):
@@ -740,15 +843,19 @@ def test_phase_search_refuses_bad_targets_and_budgets(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(f"with n >= 1, got shape {shape}")):
             unitary_phase_search(np.full(shape, 0.25))
     flat = np.full((4, 4), 0.25)
-    for kw, name, value in (
-        (dict(max_iter=-5), "max_iter", "-5"),
-        (dict(restarts=-3), "restarts", "-3"),
-        (dict(max_iter=2.5), "max_iter", "2.5"),
-        (dict(max_iter=True), "max_iter", "True"),
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    for kw, message in (
+        (dict(max_iter=-5), "max_iter must be a nonnegative integer, got -5"),
+        (dict(restarts=-3), "restarts must be a nonnegative integer, got -3"),
+        (dict(max_iter=2.5), "max_iter must be a nonnegative integer, got 2.5"),
+        (dict(max_iter=True), "max_iter must be a nonnegative integer, got True"),
+        # rung 1 would hold (1 + restarts) starts per target at once
+        (dict(restarts=10**9), "restarts must be at most 64, got 1000000000"),
     ):
-        message = f"{name} must be a nonnegative integer, got {value}"
         with pytest.raises(ValueError, match=message):
-            unitary_phase_search(flat, **kw)
+            unitary_phase_search(flat, rng=gen, **kw)
+    assert gen.bit_generator.state == state
 
 
 def test_equality_defect_zero_means_boundary():
