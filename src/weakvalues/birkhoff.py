@@ -384,6 +384,74 @@ def _phase_polish(u):
     return r * np.exp(1j * best_phi), best_dev
 
 
+# numpy's SeedSequence hash constants and its PCG64 multiplier (O'Neill,
+# "PCG: a family of simple fast space-efficient statistically good
+# algorithms for random number generation", 2014).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class _Pcg64:
+    """The doubles of ``np.random.default_rng(seed).random``, in Python integers.
+
+    numpy's SeedSequence hashes the seed into a pool of four 32-bit words
+    and expands it to four 64-bit words, which seed a 128-bit LCG (PCG64);
+    each double is the top 53 bits of one XSL-RR output.  Drawing them here
+    keeps ``numpy.random`` out of the process.  Raises ValueError for a
+    negative seed, as numpy does.
+    """
+
+    def __init__(self, seed):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"rng seed must be a nonnegative integer, got {seed}")
+        const = _HASH_INIT_A
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * _HASH_MULT_A & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+            return x ^ x >> 16
+
+        entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+        pool = [hashmix(w) for w in (entropy + [0, 0, 0])[:4]]
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[4:]:  # entropy beyond the pool's 128 bits
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        const, state = _HASH_INIT_B, 0  # generate_state(4, uint64), little-endian
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * _HASH_MULT_B & _M32
+            value = value * const & _M32
+            state |= (value ^ value >> 16) << 32 * i
+        words = [state >> k & _M64 for k in (0, 64, 128, 192)]
+        # pcg_setseq_128 seeding: from state 0, step, add initstate, step
+        self._inc = (words[2] << 64 | words[3]) << 1 & _M128 | 1
+        self._state = ((self._inc + (words[0] << 64 | words[1])) * _PCG_MULT + self._inc) & _M128
+
+    def random(self, shape):
+        """Doubles in [0, 1) of the given shape, drawn in C order."""
+        s, inc, states = self._state, self._inc, bytearray()
+        for _ in range(math.prod(shape)):
+            s = (s * _PCG_MULT + inc) & _M128
+            states += s.to_bytes(16, "little")
+        self._state = s
+        lo, hi = np.frombuffer(states, dtype="<u8").reshape(-1, 2).T
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        return ((out >> np.uint64(11)) * 2.0**-53).reshape(shape)
+
+
 def unitary_phase_search(
     targets, rng=None, max_iter=_SEARCH_MAX_ITER, restarts=_SEARCH_RESTARTS
 ):
@@ -406,13 +474,18 @@ def unitary_phase_search(
     its target, the lowest start index (zero phases first) winning a tie.
     Fields are drawn rung by rung in (start, target) order, for random
     starts only, so the k-th random start of a lone target takes the k-th
-    field drawn; the result is deterministic for a given ``rng`` seed.
+    field drawn; the result is deterministic for a given ``rng`` seed.  An
+    integer seed, or None for seed 0, draws from the package's PCG64
+    stream, the same bits as ``np.random.default_rng(seed).random``
+    without importing ``numpy.random``; any other ``rng`` (a Generator,
+    BitGenerator or SeedSequence) goes to ``np.random.default_rng``.
 
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.  Raises ValueError,
     before any search or draw, for targets that are not finite square
     matrices, for a ``max_iter`` or ``restarts`` that is not a nonnegative
-    integer, and for ``restarts`` above _MAX_RESTARTS (64).
+    integer, for ``restarts`` above _MAX_RESTARTS (64), and for a negative
+    integer seed.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -431,7 +504,10 @@ def unitary_phase_search(
     roots = np.sqrt(np.clip(targets, 0.0, None)).reshape((-1,) + shape[-2:])
     batch, n, _ = roots.shape
     out, ok = roots.astype(complex), np.zeros(batch, dtype=bool)
-    gen = np.random.default_rng(0 if rng is None else rng)
+    if rng is None or _is_integer(rng):
+        gen = _Pcg64(0 if rng is None else rng)
+    else:
+        gen = np.random.default_rng(rng)
 
     todo = np.arange(batch)
     for zeros, draws in ((1, restarts), (0, _BASIN_RESTARTS)):  # the two rungs

@@ -158,11 +158,14 @@ def weak_value_table(a, pair):
     """Compute every weak value of ``a`` over the pair at once.
 
     Raises OverlapTooSmall (with the first offending index pair) when the
-    pair is not admissible.
+    pair is not admissible, and ValueError for weak values that overflow.
     """
     a = _check_operator(a, pair.dim)
     g = _admissible_overlaps(pair)
-    values = (pair.post.conj().T @ a @ pair.pre) / g
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (pair.post.conj().T @ a @ pair.pre) / g
+    if not np.all(np.isfinite(values)):
+        raise ValueError("weak values overflow: the operator's entries are too large for this pair")
     return WeakValueTable(values=values, operator=a, pair=pair)
 
 

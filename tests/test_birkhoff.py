@@ -409,6 +409,24 @@ def test_phase_search_is_deterministic():
         assert np.array_equal(u1, u2)
 
 
+def test_search_stream_draws_the_doubles_of_numpy_pcg64():
+    # integer seeds, one past 128 bits (SeedSequence's extra-entropy loop),
+    # and a numpy integer; each stream drawn from three times in a row, as
+    # rung 1 and rung 2 draw, with an empty draw between
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**200, np.int64(5)):
+        ours, numpy_gen = birkhoff._Pcg64(seed), np.random.default_rng(seed)
+        for shape in ((5, 4, 4), (0, 4, 4), (12, 3, 3)):
+            got, want = ours.random(shape), numpy_gen.random(shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the search takes the same fields from a seed as from numpy's generator
+    weights = np.random.default_rng(404).dirichlet(np.full(24, 0.15), size=4)
+    targets = np.stack([combine(w, permutation_corners(4)) for w in weights])
+    for seed in (None, 3, 2**40):
+        want = unitary_phase_search(targets, rng=np.random.default_rng(0 if seed is None else seed))
+        got = unitary_phase_search(targets, rng=seed)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_phase_search_batched(rng):
     targets = np.stack([np.abs(haar_unitary(3, rng)) ** 2 for _ in range(32)])
     units, ok = unitary_phase_search(targets)
@@ -856,6 +874,30 @@ def test_phase_search_refuses_bad_targets_and_budgets(monkeypatch):
         with pytest.raises(ValueError, match=message):
             unitary_phase_search(flat, rng=gen, **kw)
     assert gen.bit_generator.state == state
+    with pytest.raises(ValueError, match="rng seed must be a nonnegative integer, got -1"):
+        unitary_phase_search(flat, rng=-1)
+
+
+def test_unistochastic_fraction_of_b3_is_the_published_constant():
+    """Under uniform measure on B3 the unistochastic fraction is 8 pi^2 / 105
+    (Dunkl and Zyczkowski, arXiv:0909.0116); 500,000 points by rejection from
+    the unit cube of (mu00, mu01, mu10, mu11), in blocks, must land within 4
+    sigma of it.  The seed was fixed before the first run."""
+    gen = np.random.default_rng(9090116)
+    total, seen, passed = 500_000, 0, 0
+    while seen < total:
+        mu = np.empty((100_000, 3, 3))
+        mu[:, :2, :2] = gen.random((len(mu), 2, 2))
+        mu[:, :2, 2] = 1.0 - mu[:, :2, :2].sum(axis=2)
+        mu[:, 2] = 1.0 - mu[:, :2].sum(axis=1)
+        mu = mu[np.all(mu >= 0.0, axis=(1, 2))][: total - seen]
+        links = chain_links(mu)
+        ok = birkhoff._closure_slack(links) >= -TRIANGLE_TOL
+        if seen == 0:  # the vectorized test is triangle_condition's
+            assert [triangle_condition(x) for x in links[:2000]] == ok[:2000].tolist()
+        seen, passed = seen + len(mu), passed + int(np.count_nonzero(ok))
+    p = 8 * math.pi**2 / 105
+    assert abs(passed / total - p) <= 4 * math.sqrt(p * (1 - p) / total)
 
 
 def test_equality_defect_zero_means_boundary():

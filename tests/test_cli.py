@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -207,6 +208,10 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
     cplx.write_text('[[{"re": 0.5, "im": 0.5}, 0.5], [0.5, 0.5]]')
     row = tmp_path / "row.json"
     row.write_text("[[0.5, 0.5]]")
+    huge_basis = tmp_path / "huge_basis.json"  # finite entries whose Gram matrix overflows
+    huge_basis.write_text('{"pre": [[1e200, 0], [0, 1]], "post": [[1, 0], [0, 1]]}')
+    huge_op = tmp_path / "huge_op.json"  # finite entries whose weak values overflow
+    huge_op.write_text("[[1e308, 1e308], [1e308, 1e308]]")
     for argv, reason in (
         (["weak-table", f"file:{op}", "exclusive2"], "finite"),
         (["birkhoff", "classify", "--file", str(mat)], "finite"),
@@ -222,12 +227,47 @@ def test_non_finite_files_exit_four(tmp_path, capsys):
         (["weak-table", "sigma_x", f"file:{wide}"], "must be square"),
         (["birkhoff", "classify", "--file", str(cplx)], "must be real"),
         (["birkhoff", "classify", "--file", str(row)], "must be square"),
+        (["weak-table", "identity", f"file:{huge_basis}"], "not orthonormal"),
+        (["weak-table", f"file:{huge_op}", "exclusive2"], "overflow"),
     ):
         code, out, err = invoke(argv, capsys)
         assert code == 4
         assert out == ""
         assert reason in err and "RuntimeWarning" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_never_loads_numpy_random(tmp_path):
+    """The phase search draws its starts without numpy.random, so a CLI
+    process never imports it, nor the secrets and hashlib it pulls in."""
+    flat8 = tmp_path / "flat8.json"
+    flat8.write_text(json.dumps([[1 / 8] * 8] * 8))
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import numpy
+        if "numpy.random" in sys.modules:  # numpy 1.x imports it with numpy
+            print("null")
+            sys.exit()
+        from weakvalues import cli
+        flat4 = ",".join(["0.041666666666666664"] * 24)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["birkhoff", "classify", "--coeffs", flat4]),
+                cli.main(["birkhoff", "classify", "--file", sys.argv[1]]),
+            ]
+        loaded = [m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules]
+        print(json.dumps([codes, loaded]))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(flat8)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    result = json.loads(proc.stdout)
+    if result is None:
+        pytest.skip("import numpy loads numpy.random under this numpy")
+    assert result == [[0, 0], []]
 
 
 def test_oversized_files_exit_four(tmp_path, capsys):
