@@ -48,11 +48,9 @@ _HANDOFF = 3e-2
 _BASIN = 1e-2
 _BASIN_RESTARTS = 4
 _POLISH_STEPS = 40
-# The default search budget: projection steps per start, random restarts.
+# The search budget: projection steps per start, random restarts.
 _SEARCH_MAX_ITER = 800
 _SEARCH_RESTARTS = 4
-# The most random restarts a search takes.
-_MAX_RESTARTS = 64
 
 __all__ = [
     "BISTOCHASTIC_TOL",
@@ -276,7 +274,7 @@ def _verify_realization(u, mu):
     return gram_dev <= _SEARCH_ACCEPT and mod_dev <= _SEARCH_ACCEPT
 
 
-def _project_iterate(g, r, max_iter, owner=None):
+def _project_iterate(g, r, max_iter, owner):
     """Run a batch of starts side by side, each until it ends or its target is won.
 
     Each step projects the live iterates to the nearest unitary (polar
@@ -286,19 +284,18 @@ def _project_iterate(g, r, max_iter, owner=None):
     wins, and otherwise projection goes on from the unpolished iterate.  An
     entry also leaves at _SEARCH_TOL, by the stall rule (_SEARCH_PLATEAU,
     _SEARCH_PROGRESS), or after ``max_iter`` steps.  ``owner`` names each
-    entry's target (by default, itself): the earliest step at which an entry
-    leaves unitary to _SEARCH_ACCEPT ends its target, won by that entry (the
-    lowest index on a tie), and its other live entries leave unpolished.
-    The other targets' entries are read from the iterates they exit with
-    (with ``max_iter`` 0, the starts); those within _BASIN are polished once
-    more, in one call (Gauss-Newton from a floor near 1e-3 can land where it
+    entry's target: the earliest step at which an entry leaves unitary to
+    _SEARCH_ACCEPT ends its target, won by that entry (the lowest index on
+    a tie), and its other live entries leave unpolished.  The other
+    targets' entries are read from the iterates they exit with (with
+    ``max_iter`` 0, the starts); those within _BASIN are polished once more,
+    in one call (Gauss-Newton from a floor near 1e-3 can land where it
     failed from the hand-off), and the lowest-index accepted entry wins.
 
     Returns ``(g, won, lowest)``: the iterates, written into ``g``, each
     target's winning entry, and the lowest deviation each entry reached.
     """
     alive = np.arange(g.shape[0])
-    owner = alive if owner is None else owner
     won, lowest = np.zeros(alive.size, dtype=bool), np.full(alive.size, np.inf)
     ga, ra, best, stall = g, r, lowest.copy(), np.zeros(alive.size, dtype=int)
     for _ in range(max_iter):
@@ -440,38 +437,34 @@ class _Pcg64:
         self._state = ((self._inc + (words[0] << 64 | words[1])) * _PCG_MULT + self._inc) & _M128
 
     def random(self, shape):
-        """Doubles in [0, 1) of the given shape, drawn in C order."""
-        s, inc, states = self._state, self._inc, bytearray()
-        for _ in range(math.prod(shape)):
+        """Doubles in [0, 1) of the given shape, drawn in C order into the output."""
+        s, inc, out = self._state, self._inc, np.empty(math.prod(shape))
+        for i in range(out.size):
             s = (s * _PCG_MULT + inc) & _M128
-            states += s.to_bytes(16, "little")
+            x, rot = (s >> 64 ^ s) & _M64, s >> 122
+            out[i] = (x >> rot | x << (64 - rot) & _M64) >> 11
         self._state = s
-        lo, hi = np.frombuffer(states, dtype="<u8").reshape(-1, 2).T
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        return ((out >> np.uint64(11)) * 2.0**-53).reshape(shape)
+        out *= 2.0**-53
+        return out.reshape(shape)
 
 
-def unitary_phase_search(
-    targets, rng=None, max_iter=_SEARCH_MAX_ITER, restarts=_SEARCH_RESTARTS
-):
+def unitary_phase_search(targets, rng=None):
     """Find unitaries with prescribed squared moduli by alternating projection.
 
     ``targets`` may be a single (n, n) matrix or a batch (..., n, n) of
     finite entries.  Success means that an iterate carrying the target
     moduli is unitary to _SEARCH_ACCEPT (1e-9), read from the iterate a
-    start exits with.  With ``max_iter`` 0 no projection step runs: a start
-    that is already unitary wins, and one within _BASIN gets only the
-    Gauss-Newton polish.
+    start exits with.
 
-    Two rungs of starts run, each one :func:`_project_iterate` call with
-    every start side by side, up to ``max_iter`` projection steps each.
-    Rung 1 gives each target its zero-phase start and ``restarts`` random
-    phase fields.  Rung 2 gives _BASIN_RESTARTS (4) more random fields to
-    each target still unresolved that a rung-1 start brought within _BASIN
-    (1e-2) of unitarity: they rescue targets whose first starts stall at a
-    floor of 1e-3 to 1e-2.  The earliest step at which a start wins ends
-    its target, the lowest start index (zero phases first) winning a tie.
+    The budget is fixed.  Two rungs of starts run, each one
+    :func:`_project_iterate` call with every start side by side, up to
+    _SEARCH_MAX_ITER (800) projection steps each.  Rung 1 gives each target
+    its zero-phase start and _SEARCH_RESTARTS (4) random phase fields.
+    Rung 2 gives _BASIN_RESTARTS (4) more random fields to each target
+    still unresolved that a rung-1 start brought within _BASIN (1e-2) of
+    unitarity: they rescue targets whose first starts stall at a floor of
+    1e-3 to 1e-2.  The earliest step at which a start wins ends its
+    target, the lowest start index (zero phases first) winning a tie.
     Fields are drawn rung by rung in (start, target) order, for random
     starts only, so the k-th random start of a lone target takes the k-th
     field drawn; the result is deterministic for a given ``rng`` seed.  An
@@ -483,9 +476,7 @@ def unitary_phase_search(
     Returns ``(unitaries, ok)`` where ``ok`` marks converged entries.  The
     returned matrices carry the target moduli exactly.  Raises ValueError,
     before any search or draw, for targets that are not finite square
-    matrices, for a ``max_iter`` or ``restarts`` that is not a nonnegative
-    integer, for ``restarts`` above _MAX_RESTARTS (64), and for a negative
-    integer seed.
+    matrices and for a negative integer seed.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -496,11 +487,6 @@ def unitary_phase_search(
         )
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
-    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
-        if not (_is_integer(value) and value >= 0):
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    if restarts > _MAX_RESTARTS:
-        raise ValueError(f"restarts must be at most {_MAX_RESTARTS}, got {restarts!r}")
     roots = np.sqrt(np.clip(targets, 0.0, None)).reshape((-1,) + shape[-2:])
     batch, n, _ = roots.shape
     out, ok = roots.astype(complex), np.zeros(batch, dtype=bool)
@@ -510,14 +496,14 @@ def unitary_phase_search(
         gen = np.random.default_rng(rng)
 
     todo = np.arange(batch)
-    for zeros, draws in ((1, restarts), (0, _BASIN_RESTARTS)):  # the two rungs
+    for zeros, draws in ((1, _SEARCH_RESTARTS), (0, _BASIN_RESTARTS)):  # the two rungs
         if todo.size == 0:
             break
         k = todo.size
         owner = np.tile(np.arange(k), zeros + draws)  # entries in (start, target) order
         turns = np.concatenate([np.zeros((zeros * k, n, n)), gen.random((draws * k, n, n))])
         r = roots[todo[owner]]
-        g, won, low = _project_iterate(r * np.exp(2j * np.pi * turns), r, max_iter, owner)
+        g, won, low = _project_iterate(r * np.exp(2j * np.pi * turns), r, _SEARCH_MAX_ITER, owner)
         ok[todo[owner[won]]], out[todo[owner[won]]] = True, g[won]
         todo = todo[~ok[todo] & np.any(low.reshape(-1, k) <= _BASIN, axis=0)]
 
@@ -576,7 +562,7 @@ def realize_unitary(mu):
 
     n = 1 and 2 use closed forms, n = 3 the chain-closure phase
     construction, n >= 4 :func:`unitary_phase_search` with its default seed
-    and budget (raising SearchFailed when it does not converge).  Raises
+    (raising SearchFailed when it does not converge).  Raises
     NotUnistochastic for n = 3 targets that fail the closure condition.  For
     n >= 4 a target whose links of some row pair or column pair fail the
     polygon closure by more than TRIANGLE_TOL raises SearchFailed at once,
@@ -597,7 +583,7 @@ def is_unistochastic(mu):
     the polygon closure by more than TRIANGLE_TOL (a necessary condition for
     every n), "yes" when the numerical search finds a realization, and
     "unknown" when the polygons close but the search fails.  The search runs
-    with its default seed and budget, so the verdict is deterministic.
+    with its default seed, so the verdict is deterministic.
     """
     return _unistochastic_verdict(mu)[0]
 

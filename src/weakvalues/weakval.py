@@ -119,12 +119,21 @@ def _admissible_overlaps(pair, l=None, j=None):
     return g if l is None else g[l, j]
 
 
+def _weak_quotient(post, a, pre, g):
+    """<phi|A|psi> / g over the columns of ``post`` and ``pre``; ValueError on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = post.conj().T @ a @ pre / g
+    if not np.all(np.isfinite(values)):
+        raise ValueError("weak values overflow: the operator's entries are too large for this pair")
+    return values
+
+
 def weak_value(a, pair, l, j):
-    """<phi_l|A|psi_j> / <phi_l|psi_j> for a single index pair."""
+    """<phi_l|A|psi_j> / <phi_l|psi_j> for one index pair; ValueError on overflow."""
     _check_indices(pair.dim, l=l, j=j)
     a = _check_operator(a, pair.dim)
     g = _admissible_overlaps(pair, l, j)
-    return complex(np.vdot(pair.post[:, l], a @ pair.pre[:, j]) / g)
+    return complex(_weak_quotient(pair.post[:, l], a, pair.pre[:, j], g))
 
 
 def w_operator(pair, l, j):
@@ -162,11 +171,7 @@ def weak_value_table(a, pair):
     """
     a = _check_operator(a, pair.dim)
     g = _admissible_overlaps(pair)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (pair.post.conj().T @ a @ pair.pre) / g
-    if not np.all(np.isfinite(values)):
-        raise ValueError("weak values overflow: the operator's entries are too large for this pair")
-    return WeakValueTable(values=values, operator=a, pair=pair)
+    return WeakValueTable(values=_weak_quotient(pair.post, a, pair.pre, g), operator=a, pair=pair)
 
 
 def expand(table):

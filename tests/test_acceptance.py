@@ -19,6 +19,7 @@ from weakvalues import (
     BasisPair,
     NotUnistochastic,
     SingularMeasurement,
+    birkhoff,
     chain_links,
     cli,
     degeneracy,
@@ -368,7 +369,9 @@ def test_criterion_08_unistochastic_oracle():
     found, ok = unitary_phase_search(random_mus, rng=7)
     missed = np.flatnonzero((rslack >= 1e-9) & ~ok)
     for idx in missed:  # a longer search gets a last word before failing
-        _, late = unitary_phase_search(random_mus[idx], rng=11, max_iter=60_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(birkhoff, "_SEARCH_MAX_ITER", 60_000)
+            _, late = unitary_phase_search(random_mus[idx], rng=11)
         if not late:
             _check(
                 failures,

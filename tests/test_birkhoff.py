@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,6 +375,19 @@ def test_unknown_verdict_names_the_search_budget(b4_certified):
         realize_unitary(mu)
 
 
+def test_a_realization_that_fails_verification_is_unknown(monkeypatch):
+    # the verdict rests on checking the unitary returned, not on the search's
+    # flag: all entries 0.5 carry the flat moduli but are far from unitary
+    flat = np.full((4, 4), 0.25)
+    monkeypatch.setattr(
+        birkhoff, "unitary_phase_search", lambda mu: (np.full((4, 4), 0.5 + 0j), True)
+    )
+    cert = is_unistochastic(flat)
+    assert cert.verdict == "unknown" and cert.realizing_unitary is None
+    with pytest.raises(SearchFailed, match="^realization verification failed$"):
+        realize_unitary(flat)
+
+
 def test_realize_unitary_refuses_open_polygons_without_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the phase search ran on a refused target")
@@ -425,6 +439,19 @@ def test_search_stream_draws_the_doubles_of_numpy_pcg64():
         want = unitary_phase_search(targets, rng=np.random.default_rng(0 if seed is None else seed))
         got = unitary_phase_search(targets, rng=seed)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_search_stream_holds_no_more_than_its_output():
+    # each double is formed in Python integers and written into the output,
+    # so a draw's traced peak is the output's 8 bytes a double, plus slack
+    stream = birkhoff._Pcg64(7)
+    tracemalloc.start()  # numpy reports its array buffers here too
+    try:
+        stream.random((20_000,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 20_000 + 64 * 1024
 
 
 def test_phase_search_batched(rng):
@@ -525,11 +552,12 @@ def _assert_valid_realizations(units, ok, targets):
         assert np.max(np.abs(np.abs(u) ** 2 - t)) < 1e-9
 
 
-def _assert_realizes_what_reference_does(targets, **kw):
+def _assert_realizes_what_reference_does(targets, rng, **budget):
     """The search realizes every target the reference realizes, each validly,
-    and none whose links of some row or column pair cannot close."""
-    _, want_ok = _ref_unitary_phase_search(targets, **kw)
-    got_u, got_ok = unitary_phase_search(targets, **kw)
+    and none whose links of some row or column pair cannot close.  ``budget``
+    goes to the reference; the search runs on the module's budget."""
+    _, want_ok = _ref_unitary_phase_search(targets, rng=rng, **budget)
+    got_u, got_ok = unitary_phase_search(targets, rng=rng)
     assert got_ok.shape == want_ok.shape and got_u.shape == targets.shape
     assert np.all(got_ok[want_ok])
     flat = targets.reshape((-1,) + targets.shape[-2:])
@@ -557,7 +585,7 @@ def test_phase_search_matches_reference_on_b4_verdicts(b4_certified, monkeypatch
             assert g.realizing_unitary is None
 
 
-def test_phase_search_matches_reference_on_batches():
+def test_phase_search_matches_reference_on_batches(monkeypatch):
     # seeds fixed before the first run; the batches go through every stage
     rng = np.random.default_rng(505)
     corners3 = np.stack(permutation_corners(3))
@@ -566,18 +594,20 @@ def test_phase_search_matches_reference_on_batches():
     assert ok3.any() and not ok3.all()
     corners4 = np.stack(permutation_corners(4))
     batch4 = np.einsum("sm,mij->sij", rng.dirichlet(np.full(24, 0.15), size=24), corners4)
+    monkeypatch.setattr(birkhoff, "_SEARCH_RESTARTS", 2)
     ok4 = _assert_realizes_what_reference_does(batch4.reshape(2, 12, 4, 4), rng=3, restarts=2)
     assert ok4.any() and not ok4.all()
 
 
-def test_phase_search_basin_restarts_realize_beyond_the_zero_stage():
+def test_phase_search_basin_restarts_realize_beyond_the_zero_stage(monkeypatch):
     # a short budget and no random restarts leave some unitary-born targets
     # to the basin restarts
     rng = np.random.default_rng(707)
     targets = np.stack([np.abs(haar_unitary(3, rng)) ** 2 for _ in range(200)])
-    kw = dict(rng=0, max_iter=12, restarts=0)
-    _, want_ok = _ref_unitary_phase_search(targets, **kw)
-    got_u, ok = unitary_phase_search(targets, **kw)
+    _, want_ok = _ref_unitary_phase_search(targets, rng=0, max_iter=12, restarts=0)
+    monkeypatch.setattr(birkhoff, "_SEARCH_MAX_ITER", 12)
+    monkeypatch.setattr(birkhoff, "_SEARCH_RESTARTS", 0)
+    got_u, ok = unitary_phase_search(targets, rng=0)
     # what the reference's zero-phase stage alone realizes, projection then polish
     roots = np.sqrt(targets)
     g, dev = _ref_project_iterate(roots.astype(complex), roots, 12)
@@ -710,16 +740,18 @@ def test_floor_polish_and_basin_gate_realize_haar_born_targets():
         _assert_valid_realizations(cert.realizing_unitary[None], np.array([True]), mu[None])
 
 
-def test_search_exit_reads_the_returned_iterates():
+def test_search_exit_reads_the_returned_iterates(monkeypatch):
     # a start that is already unitary wins without a projection step
     corner = permutation_corners(4)[5]
-    u, ok = unitary_phase_search(corner, max_iter=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(birkhoff, "_SEARCH_MAX_ITER", 0)
+        u, ok = unitary_phase_search(corner)
     assert ok and np.array_equal(u, corner)
     # so does a start within the basin, through the floor polish
     v = haar_unitary(4, np.random.default_rng(8))
     start = v * np.exp(1e-4j * np.random.default_rng(9).standard_normal((4, 4)))
     assert 1e-5 < _unitarity_deviation(start) < 1e-2
-    assert birkhoff._project_iterate(start[None], np.abs(v)[None], 0)[1][0]
+    assert birkhoff._project_iterate(start[None], np.abs(v)[None], 0, np.arange(1))[1][0]
     # on a mixed batch, won and lowest agree with the iterates returned
     rng = np.random.default_rng(17)
     corners = np.stack(permutation_corners(4))
@@ -729,7 +761,7 @@ def test_search_exit_reads_the_returned_iterates():
     for max_iter in (0, 12, 800):
         for turns in (0.0, rng.random(r.shape)):
             g, won, lowest = birkhoff._project_iterate(
-                r * np.exp(2j * np.pi * turns), r, max_iter
+                r * np.exp(2j * np.pi * turns), r, max_iter, np.arange(len(r))
             )
             exit_dev = _unitarity_deviation(g)
             assert np.array_equal(won, exit_dev <= _SEARCH_ACCEPT)
@@ -785,7 +817,7 @@ def test_search_exit_lowest_is_at_most_the_returned_deviation():
     for max_iter in (0, 12, 800):
         for turns in (0.0, rng.random(r.shape)):
             g, won, lowest = birkhoff._project_iterate(
-                r * np.exp(2j * np.pi * turns), r, max_iter
+                r * np.exp(2j * np.pi * turns), r, max_iter, np.arange(len(r))
             )
             assert np.all(lowest <= _unitarity_deviation(g))
 
@@ -852,28 +884,22 @@ def test_phase_search_refuses_bad_targets_and_budgets(monkeypatch):
         raise AssertionError("the search ran on refused input")
 
     monkeypatch.setattr(birkhoff, "_project_iterate", no_search)
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
     for bad in (np.nan, np.inf, -np.inf):
         mu = np.full((4, 4), 0.25)
         mu[1, 2] = bad
         with pytest.raises(ValueError, match="targets must be finite"):
-            unitary_phase_search(mu)
+            unitary_phase_search(mu, rng=gen)
     for shape in ((4,), (2, 3, 4), (4, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(f"with n >= 1, got shape {shape}")):
-            unitary_phase_search(np.full(shape, 0.25))
-    flat = np.full((4, 4), 0.25)
-    gen = np.random.default_rng(0)
-    state = gen.bit_generator.state
-    for kw, message in (
-        (dict(max_iter=-5), "max_iter must be a nonnegative integer, got -5"),
-        (dict(restarts=-3), "restarts must be a nonnegative integer, got -3"),
-        (dict(max_iter=2.5), "max_iter must be a nonnegative integer, got 2.5"),
-        (dict(max_iter=True), "max_iter must be a nonnegative integer, got True"),
-        # rung 1 would hold (1 + restarts) starts per target at once
-        (dict(restarts=10**9), "restarts must be at most 64, got 1000000000"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            unitary_phase_search(flat, rng=gen, **kw)
+            unitary_phase_search(np.full(shape, 0.25), rng=gen)
     assert gen.bit_generator.state == state
+    # the budget is the module's: no call sets it
+    flat = np.full((4, 4), 0.25)
+    for name in ("max_iter", "restarts"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            unitary_phase_search(flat, **{name: 4})
     with pytest.raises(ValueError, match="rng seed must be a nonnegative integer, got -1"):
         unitary_phase_search(flat, rng=-1)
 

@@ -365,6 +365,20 @@ def test_operators_must_be_finite_and_fit_the_pair():
         call(np.array([[0, 1], [0, 0]]))
 
 
+def test_weak_values_that_overflow_are_refused():
+    # finite entries whose weak value is not finite: one entry and the table
+    # refuse them alike, with no numpy warning, whether the division
+    # overflows or, on the Fourier pair, <phi|A|psi> itself
+    fourier = BasisPair(np.eye(4), np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2)
+    for a, pair in (
+        (np.full((2, 2), 1e308), exclusive_pair()),
+        (np.full((4, 4), 1e308 + 1e308j), fourier),
+    ):
+        for call in (lambda: weak_value(a, pair, 0, 0), lambda: weak_value_table(a, pair)):
+            with pytest.raises(ValueError, match="weak values overflow"):
+                call()
+
+
 def test_indices_outside_the_dimension_are_refused():
     # a negative index would wrap around to the last basis vector
     pair = rotated_pair(2, 0.8)
