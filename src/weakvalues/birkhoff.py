@@ -621,7 +621,7 @@ def canonical_coefficients(mu):
 # The largest grid simplex_grid builds: a triangle at resolution 512.
 _MAX_GRID_POINTS = math.comb(514, 2)
 # The most grid points a block of _grid_blocks holds.
-_GRID_BLOCK = 8192
+_GRID_BLOCK = 2048
 
 
 def simplex_grid(num_corners, resolution):
@@ -711,6 +711,22 @@ def _corner_stack(corner_indices):
     return tuple(map(int, idx)), corners[list(idx)]
 
 
+def _surface_blocks(corner_subset, resolution):
+    """sample_degenerate_surface's scan of each _grid_blocks block in turn, as
+    (coefficients, matrices, dets, degenerate, unistochastic); the first one
+    checks the arguments."""
+    idx, stack = _corner_stack(corner_subset)
+    if len(idx) > 4:
+        raise ValueError("patches above a tetrahedron (4 corners) are not supported")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution!r}")
+    for coeffs in _grid_blocks(len(idx), resolution):
+        mats = np.einsum("pm,mij->pij", coeffs, stack)
+        dets = np.linalg.det(mats)
+        uni = _closure_slack(chain_links(mats)) >= -TRIANGLE_TOL
+        yield coeffs, mats, dets, np.abs(dets) < 0.5 / resolution, uni
+
+
 def sample_degenerate_surface(corner_subset, resolution):
     """Grid-sample a patch of the n = 3 polytope and flag its structure.
 
@@ -718,18 +734,18 @@ def sample_degenerate_surface(corner_subset, resolution):
     tetrahedron).  A point is flagged degenerate when |det| falls below half
     a grid spacing, and unistochastic by the chain-closure condition.
     """
-    idx, stack = _corner_stack(corner_subset)
-    if len(idx) > 4:
-        raise ValueError("patches above a tetrahedron (4 corners) are not supported")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution!r}")
-    coeffs = simplex_grid(len(idx), resolution)
-    mats = np.einsum("pm,mij->pij", coeffs, stack)
-    dets = np.linalg.det(mats)
-    links = chain_links(mats)
-    uni = _closure_slack(links) >= -TRIANGLE_TOL
-    degenerate = np.abs(dets) < 0.5 / resolution
-    return SurfaceScan(idx, resolution, coeffs, mats, dets, degenerate, uni)
+    idx = _corner_stack(corner_subset)[0]
+    # the blocks joined: each is copied into place as it is made, so no list
+    # of blocks is held beside the whole scan
+    fields, start = None, 0
+    for block in _surface_blocks(idx, resolution):
+        if fields is None:  # the first block has checked the arguments
+            count = math.comb(resolution + len(idx) - 1, resolution)
+            fields = [np.empty((count,) + b.shape[1:], b.dtype) for b in block]
+        for field, b in zip(fields, block):
+            field[start : start + len(b)] = b
+        start += len(block[0])
+    return SurfaceScan(idx, resolution, *fields)
 
 
 def unistochastic_degenerate_intersection(corner_subset, resolution):

@@ -90,7 +90,7 @@ class _Records:
     columns at a time, so no list of every row is ever built.
     """
 
-    _BLOCK = 4096
+    _BLOCK = 512
 
     def __init__(self, **columns):
         self.columns = columns
@@ -145,24 +145,48 @@ def _check_finite(value):
             _check_finite(v)
 
 
-def _json_array(a, indent):
-    # every row has the same layout: one template for the array, filled once
-    text = "[" + ", ".join([_CELLS[a.dtype.kind]] * a.shape[-1]) + "]"
-    for axis in range(a.ndim - 2, -1, -1):
-        outer = "\n" + "  " * (indent + axis)
-        inner = outer + "  "
-        text = "[" + inner + ("," + inner).join([text] * a.shape[axis]) + outer + "]"
-    return text % tuple(_components(a))
+# The most array entries one write renders: an array goes into the sink in
+# blocks of whole rows of its leading axis, at least one row a block.
+_ARRAY_BLOCK = 2048
+
+
+def _array_blocks(a):
+    """An array's leading-axis blocks with the index of each one's first row."""
+    step = max(1, _ARRAY_BLOCK // a[0].size)
+    return ((start, a[start : start + step]) for start in range(0, len(a), step))
+
+
+def _write_json_array(a, write, indent):
+    # every row of the leading axis has the same layout: one template for a
+    # row, filled block by block
+    row = _CELLS[a.dtype.kind]
+    if a.ndim == 1:
+        head, sep, tail = "[", ", ", "]"
+    else:
+        row = "[" + ", ".join([row] * a.shape[-1]) + "]"
+        for axis in range(a.ndim - 2, 0, -1):
+            outer = "\n" + "  " * (indent + axis)
+            inner = outer + "  "
+            row = "[" + inner + ("," + inner).join([row] * a.shape[axis]) + outer + "]"
+        outer = "\n" + "  " * indent
+        head, sep, tail = "[" + outer + "  ", "," + outer + "  ", outer + "]"
+    for start, block in _array_blocks(a):
+        cells = sep.join([row] * len(block)) % tuple(_components(block))
+        write((sep if start else head) + cells)
+    write(tail)
 
 
 def _flatten_array(a, key):
-    keys = [key]
-    for size in a.shape:
-        keys = [f"{k}/{i}" if k else str(i) for k in keys for i in range(size)]
+    tails = [""]  # the key of each entry of a row, after the row's index
+    for size in a.shape[1:]:
+        tails = [f"{t}/{i}" for t in tails for i in range(size)]
     if a.dtype.kind == "c":
-        keys = [k + part for k in keys for part in ("_re", "_im")]
+        tails = [t + part for t in tails for part in ("_re", "_im")]
     cell = _CELLS["f" if a.dtype.kind == "c" else a.dtype.kind]  # re, im are floats
-    return zip(keys, map(cell.__mod__, _components(a)))
+    head = f"{key}/" if key else ""
+    for start, block in _array_blocks(a):
+        keys = [f"{head}{i}{t}" for i in range(start, start + len(block)) for t in tails]
+        yield from zip(keys, map(cell.__mod__, _components(block)))
 
 
 def _scalar(value, null):
@@ -189,7 +213,7 @@ def _write_json(value, write, indent=0):
     value = _plain(value)
     pad = "  " * indent
     if isinstance(value, np.ndarray):
-        write(_json_array(value, indent))
+        _write_json_array(value, write, indent)
     elif isinstance(value, dict):
         head = "{\n"
         for k, v in value.items():
@@ -478,19 +502,19 @@ def _cmd_birkhoff_classify(args):
 
 
 def _cmd_birkhoff_sample(args):
-    scan = birkhoff.sample_degenerate_surface(tuple(args.corners), args.resolution)
-    _check_sums(scan.matrices, birkhoff.BISTOCHASTIC_TOL)
-    points = _Records(
-        coefficients=scan.coefficients,
-        det=scan.dets,
-        degenerate=scan.degenerate,
-        unistochastic=scan.unistochastic,
-    )
+    # classified and checked one grid block at a time; of each block only the
+    # printed columns are kept, so no stack of every point's matrix is built
+    columns = {"coefficients": [], "det": [], "degenerate": [], "unistochastic": []}
+    blocks = birkhoff._surface_blocks(args.corners, args.resolution)
+    for coeffs, mats, dets, degenerate, uni in blocks:
+        _check_sums(mats, birkhoff.BISTOCHASTIC_TOL)
+        for column, block in zip(columns.values(), (coeffs, dets, degenerate, uni)):
+            column.append(block)
     return {
         "command": "birkhoff-sample",
-        "corners": list(scan.corner_indices),
-        "resolution": scan.resolution,
-        "points": points,
+        "corners": args.corners,
+        "resolution": args.resolution,
+        "points": _Records(**{k: np.concatenate(v) for k, v in columns.items()}),
     }
 
 

@@ -1000,11 +1000,34 @@ def test_blockwise_locus_matches_the_whole_grid():
         for corners in itertools.permutations(range(6), 3):
             want = _whole_grid_locus(resolution, corners)
             assert np.array_equal(hypocycloid_boundary(resolution, corners), want)
-    for corners in ((0, 3, 4), (2, 3, 1), (0, 3, 2)):  # 17 blocks of the grid
+    for corners in ((0, 3, 4), (2, 3, 1), (0, 3, 2)):  # 65 blocks of the grid
         want = _whole_grid_locus(512, corners)
         assert np.array_equal(hypocycloid_boundary(512, corners), want)
-    # simplex_grid itself is its blocks joined: 20,825 points, 3 blocks
+    # simplex_grid itself is its blocks joined: 20,825 points, 11 blocks
     assert simplex_grid(4, 48).tobytes() == _loop_simplex_grid(4, 48).tobytes()
+
+
+def test_blockwise_scan_matches_the_whole_grid():
+    """sample_degenerate_surface classifies the grid in blocks, with the
+    same bits as one pass over the whole grid."""
+    for corners, resolution in (((2, 4, 0), 192), ((0, 3, 2, 1), 48)):
+        grid = simplex_grid(len(corners), resolution)
+        assert len(grid) > 4 * birkhoff._GRID_BLOCK  # several blocks, the last ragged
+        assert len(grid) % birkhoff._GRID_BLOCK
+        mats = np.einsum("pm,mij->pij", grid, permutation_corners(3)[list(corners)])
+        dets = np.linalg.det(mats)
+        want = {
+            "coefficients": grid,
+            "matrices": mats,
+            "dets": dets,
+            "degenerate": np.abs(dets) < 0.5 / resolution,
+            "unistochastic": birkhoff._closure_slack(chain_links(mats)) >= -TRIANGLE_TOL,
+        }
+        scan = sample_degenerate_surface(corners, resolution)
+        assert (scan.corner_indices, scan.resolution) == (corners, resolution)
+        for name, value in want.items():
+            got = getattr(scan, name)
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
 
 
 def test_surface_scan_patch():

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -550,18 +549,28 @@ def test_non_finite_arrays_exit_four(bad, tmp_path, capsys, monkeypatch):
         cli._build_parser.cache_clear()
 
 
+def _last_block_broken(monkeypatch, breaks):
+    """Route sample's grid blocks through ``breaks``, which edits the last one."""
+    scan_blocks = birkhoff._surface_blocks
+
+    def broken(corners, resolution):
+        blocks = list(scan_blocks(corners, resolution))
+        assert len(blocks) > 1  # the fault comes after whole blocks have passed
+        breaks(*blocks[-1])
+        yield from blocks
+
+    monkeypatch.setattr(birkhoff, "_surface_blocks", broken)
+
+
 def test_non_finite_sample_column_exits_four(tmp_path, capsys, monkeypatch):
-    """The gate reads whole columns: a NaN in the last det, which a streaming
-    render reaches only after most points are written, still writes nothing."""
-    sample = birkhoff.sample_degenerate_surface
+    """The gate reads whole columns: a NaN in the last det of the last grid
+    block, which a streaming render reaches only after most points are
+    written, still writes nothing."""
 
-    def last_det_nan(corners, resolution):
-        scan = sample(corners, resolution)
-        dets = scan.dets.copy()
+    def last_det_nan(coeffs, mats, dets, degenerate, uni):
         dets[-1] = np.nan
-        return dataclasses.replace(scan, dets=dets)
 
-    monkeypatch.setattr(birkhoff, "sample_degenerate_surface", last_det_nan)
+    _last_block_broken(monkeypatch, last_det_nan)
     argv = ["birkhoff", "sample", "--corners", "0,1,2", "--resolution", "96"]
     for fmt in ("json", "csv"):
         out_path = tmp_path / f"doc.{fmt}"
@@ -569,6 +578,25 @@ def test_non_finite_sample_column_exits_four(tmp_path, capsys, monkeypatch):
             code, out, err = invoke(argv + ["--format", fmt] + extra, capsys)
             assert (code, out) == (4, "")
             assert err == "error: refusing to write the non-finite number nan\n"
+            assert not out_path.exists()
+
+
+def test_row_sum_fault_in_the_last_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    """sample checks every grid block's row and column sums before anything
+    is written: a fault in the last block's last matrix aborts the whole
+    document."""
+
+    def last_sum_off(coeffs, mats, dets, degenerate, uni):
+        mats[-1, 0, 0] += 1e-6
+
+    _last_block_broken(monkeypatch, last_sum_off)
+    argv = ["birkhoff", "sample", "--corners", "0,1,2", "--resolution", "96"]
+    for fmt in ("json", "csv"):
+        out_path = tmp_path / f"doc.{fmt}"
+        for extra in ([], ["--out", str(out_path)]):
+            with pytest.raises(RuntimeError, match="weight sums off by 1.000e-06"):
+                cli.main(argv + ["--format", fmt] + extra)
+            assert capsys.readouterr() == ("", "")
             assert not out_path.exists()
 
 
@@ -594,21 +622,47 @@ def test_refusals_name_the_library_check(argv, message, capsys):
     assert invoke(argv, capsys) == (4, "", f"error: {message}\n")
 
 
+def _file_weak_table_inputs(tmp_path, n, seed):
+    """A random Hermitian operator and a random unitary basis pair, n x n,
+    as file: arguments."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def cells(matrix):
+        return [[{"re": v.real, "im": v.imag} for v in row] for row in matrix.tolist()]
+
+    z = gaussian()
+    op, pair = tmp_path / "op.json", tmp_path / "pair.json"
+    op.write_text(json.dumps(cells(z + z.conj().T)))
+    pair.write_text(
+        json.dumps({"pre": cells(np.linalg.qr(gaussian())[0]),
+                    "post": cells(np.linalg.qr(gaussian())[0])})
+    )
+    return f"file:{op}", f"file:{pair}"
+
+
 def test_documents_are_written_as_they_are_rendered(tmp_path):
-    """The largest mesh documents hold little beyond their inputs while written.
+    """The largest mesh and array documents hold little beyond their inputs
+    and one block while written.
 
     With the whole text built first, the first three read 19.5, 19.4 and
     16.1 MiB traced; the hypocycloid then also held its whole 131,841-point
-    grid.  The n = 5 corners read 5.65 MiB in both formats while their
-    distances came from a (120, 120, 5, 5) difference.
+    grid.  With the whole grid classified at once and arrays written whole,
+    the five mesh documents read 5.18, 4.47, 1.54, 0.98 and 1.73 MiB, and the
+    16 x 16 weak-table (3.7 MB of JSON, 5.7 MB of CSV) 11.25 and 16.35 MiB.
     """
+    op, pair = _file_weak_table_inputs(tmp_path, 16, 16)
     runs = (
-        (["birkhoff", "sample", "--corners", "0,3,2,1", "--resolution", "48"], 8),
+        (["birkhoff", "sample", "--corners", "0,3,2,1", "--resolution", "48"], 3),
         (["birkhoff", "sample", "--corners", "2,4,0", "--resolution", "192", "--format", "csv"],
-         8),
-        (["birkhoff", "hypocycloid", "--corners", "2,3,1", "--resolution", "512"], 8),
-        (["birkhoff", "corners", "--n", "5"], 3),
-        (["birkhoff", "corners", "--n", "5", "--format", "csv"], 3),
+         3),
+        (["birkhoff", "hypocycloid", "--corners", "2,3,1", "--resolution", "512"], 1),
+        (["birkhoff", "corners", "--n", "5"], 1),
+        (["birkhoff", "corners", "--n", "5", "--format", "csv"], 1),
+        (["weak-table", op, pair], 5),
+        (["weak-table", op, pair, "--format", "csv"], 5),
     )
     out_path = str(tmp_path / "doc")
     for argv, mib in runs:
@@ -1155,6 +1209,17 @@ def test_render_arrays_match_reference_on_every_shape():
         "tuple": (None, True, 'a, "b"'),
         "lists": [[1, 2.5, "c"], [False], []],
         "mixed": [{"k": -0.0}, 3, "d"],
+    }
+    # arrays whose leading axis spans several write blocks, the last one
+    # ragged: rows that fill a block, rows that do not divide it, rows longer
+    # than a block, and a vector
+    block = cli._ARRAY_BLOCK
+    document["blocks"] = {
+        "vector": rng.standard_normal(2 * block + 5),
+        "ints": np.arange(3 * block + 7).reshape(-1, 1) - block,
+        "rows": rng.standard_normal((block // 3 * 4 + 1, 3)),
+        "complex": z.ravel()[:10].reshape(5, 2) * rng.standard_normal((block // 4, 5, 2)),
+        "long_rows": rng.standard_normal((3, block + 1)),
     }
     for doc in (document, {}, [{}]):
         for fmt in ("json", "csv"):
